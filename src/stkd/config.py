@@ -68,7 +68,6 @@ def rng_for(*keys: int) -> np.random.Generator:
 class TrainConfig:
     """Everything a pretrain or distill run needs; serializable to one JSON file."""
 
-    stage: str = "distill"            # "pretrain" | "distill"
     epochs: int = 10
     batch_size: int = 128
     n: int = 128                      # max sequence length
@@ -85,7 +84,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.98
     dropout: float = 0.1
-    precision: str = "f64"            # "f32" | "f64"
     max_train_per_user: int = 0       # 0 = unlimited prefix pairs
     events_path: str = ""
     dataset_path: str = ""
@@ -107,17 +105,10 @@ class TrainConfig:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.d % self.heads != 0:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
-        if self.precision not in ("f32", "f64"):
-            raise ConfigError(f"precision must be 'f32' or 'f64', got {self.precision!r}")
-        if self.stage not in ("pretrain", "distill"):
-            raise ConfigError(f"stage must be 'pretrain' or 'distill', got {self.stage!r}")
         self.fanouts = tuple(int(f) for f in self.fanouts)
         if any(f <= 0 for f in self.fanouts):
             raise ConfigError(f"fanouts must be positive, got {self.fanouts}")
         self.k_list = tuple(int(k) for k in self.k_list)
-
-    def np_dtype(self):
-        return np.float64 if self.precision == "f64" else np.float32
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -26,7 +26,7 @@ from .events import PurchaseEvent, Vocab
 from .geo import (N_DISTANCE_BUCKETS, bucketize_distance, geohash6_centroid,
                   spherical_distance)
 
-GRAPH_FORMAT_VERSION = 1
+GRAPH_FORMAT_VERSION = 2
 
 N_TIME_BUCKETS = 7 * 24  # weekday x hour-of-day, UTC
 
@@ -89,31 +89,38 @@ class Stkg:
             format_version=np.int64(GRAPH_FORMAT_VERSION),
             n_users=np.int64(self.n_users),
             n_takeaways=np.int64(self.n_takeaways),
-            attr_entities=np.array(
-                [f"{f}\x00{v}" for f, v in self.attr_entities], dtype=object),
-            relations=np.array(self.relations, dtype=object),
+            relations=np.array(self.relations, dtype=np.str_),
+            attr_fields=np.array([f for f, _ in self.attr_entities],
+                                 dtype=np.str_),
+            attr_values=np.array([v for _, v in self.attr_entities],
+                                 dtype=np.str_),
             indptr=self.indptr, neighbors=self.neighbors, rels=self.rels,
             family_counts=np.bytes_(json.dumps(self.family_counts).encode()),
             vocab_hash=np.bytes_(self.vocab_hash.encode()))
 
     @classmethod
     def load(cls, path: str) -> "Stkg":
-        with np.load(path, allow_pickle=True) as z:
-            version = int(z["format_version"])
-            if version != GRAPH_FORMAT_VERSION:
-                raise ConsistencyError(
-                    f"graph file version {version} != supported "
-                    f"{GRAPH_FORMAT_VERSION}")
-            attr_entities = [tuple(s.split("\x00", 1))
-                             for s in z["attr_entities"].tolist()]
-            return cls(n_users=int(z["n_users"]),
-                       n_takeaways=int(z["n_takeaways"]),
-                       attr_entities=attr_entities,
-                       relations=list(z["relations"].tolist()),
-                       indptr=z["indptr"], neighbors=z["neighbors"],
-                       rels=z["rels"],
-                       family_counts=json.loads(bytes(z["family_counts"])),
-                       vocab_hash=bytes(z["vocab_hash"]).decode())
+        """Read a graph file; refuses other format versions and any file
+        that would need pickle (object arrays) to load."""
+        try:
+            with np.load(path, allow_pickle=False) as z:
+                version = int(z["format_version"])
+                if version != GRAPH_FORMAT_VERSION:
+                    raise ConsistencyError(
+                        f"graph file version {version} != supported "
+                        f"{GRAPH_FORMAT_VERSION}")
+                return cls(n_users=int(z["n_users"]),
+                           n_takeaways=int(z["n_takeaways"]),
+                           attr_entities=list(zip(z["attr_fields"].tolist(),
+                                                  z["attr_values"].tolist())),
+                           relations=z["relations"].tolist(),
+                           indptr=z["indptr"], neighbors=z["neighbors"],
+                           rels=z["rels"],
+                           family_counts=json.loads(bytes(z["family_counts"])),
+                           vocab_hash=bytes(z["vocab_hash"]).decode())
+        except (KeyError, ValueError) as exc:
+            # a missing entry, or numpy refusing an object array
+            raise ConsistencyError(f"{path}: unreadable graph file: {exc!r}")
 
 
 def training_purchase_counts(events_per_user: dict[int, int]) -> dict[int, int]:

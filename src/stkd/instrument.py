@@ -15,15 +15,5 @@ class Counters:
     def get(self, name: str) -> int:
         return self._counts.get(name, 0)
 
-    def reset(self) -> None:
-        self._counts.clear()
-
     def snapshot(self) -> dict[str, int]:
         return dict(self._counts)
-
-
-_DEFAULT = Counters()
-
-
-def default_counters() -> Counters:
-    return _DEFAULT

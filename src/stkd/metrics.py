@@ -72,12 +72,14 @@ def sample_negatives(
             f"target {target} outside item range 1..{n_takeaways}")
     if n_negatives < 1:
         raise InvalidArgumentError(f"n_negatives must be >= 1, got {n_negatives}")
-    excluded = set(int(v) for v in np.asarray(purchased).ravel())
-    excluded.add(int(target))
-    excluded.add(0)
-    candidates = np.array(
-        [v for v in range(1, n_takeaways + 1) if v not in excluded],
-        dtype=np.int64)
+    # pool: ids 1..n_takeaways minus the target and the purchased ids;
+    # purchased ids outside that range are ignored
+    pool = np.ones(n_takeaways + 1, dtype=bool)
+    pool[0] = False
+    pool[target] = False
+    bought = np.asarray(purchased, dtype=np.int64).ravel()
+    pool[bought[(bought >= 1) & (bought <= n_takeaways)]] = False
+    candidates = np.flatnonzero(pool)
     if candidates.size <= n_negatives:
         return candidates, candidates.size < n_negatives
     rng = rng_for(seed, STREAM_NEGATIVES, user_id)

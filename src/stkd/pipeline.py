@@ -8,7 +8,10 @@ Stage two trains the sequence student on the joint objective
 
 where the teacher signal enters either through cached soft labels or a
 live teacher forward — the two paths produce the same loss trace because
-the per-sample subgraphs are deterministic.  Evaluation ranks each user's
+the per-sample subgraphs are deterministic.  Both stages run the one epoch
+loop ``_fit`` (seeded shuffle, divergence abort, early stopping on
+validation NDCG@10, best-snapshot restore) and differ only in the step and
+validation closures they hand it.  Evaluation ranks each user's
 held-out target against sampled negatives and reports HR@k / NDCG@k with
 wall-clock timing split into training and prediction phases.
 """
@@ -22,10 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
 from .config import STREAM_SHUFFLE, TrainConfig, rng_for
-from .errors import (ConfigError, ConsistencyError, InvalidArgumentError,
-                     NumericsError, VocabMismatchError)
+from .errors import (ConsistencyError, InvalidArgumentError, NumericsError,
+                     VocabMismatchError)
 from .graph import Stkg, Subgraph, sample_subgraph
 from .instrument import Counters
 from .metrics import MetricAccumulator, rank_of_target, sample_negatives
@@ -176,6 +178,57 @@ def _restore(params, snapshot: dict[str, np.ndarray]) -> None:
         t.data[:] = snapshot[k]
 
 
+def _fit(cfg: TrainConfig, params, dataset: SequenceDataset, step,
+         validate) -> TrainResult:
+    """The epoch loop both stages share.
+
+    Each epoch runs ``step(batch_rows, i) -> loss`` over the training rows
+    in a seeded shuffle (``i`` counts the steps taken so far), then scores
+    ``validate() -> NDCG@10``; the loop stops early after ``cfg.patience``
+    epochs without improvement.  A non-finite loss, or a NumericsError from
+    debug-mode finite checks, aborts the loop.  Either way the parameters
+    of the best validated epoch (the initial ones if none was) are restored.
+    """
+    train_rows = dataset.rows("train")
+    if train_rows.size == 0:
+        raise InvalidArgumentError("dataset has no training rows")
+    best = _snapshot(params)
+    best_metric, best_epoch, bad_epochs = -np.inf, -1, 0
+    trace: list[float] = []
+    aborted = False
+    epochs_run = 0
+    t0 = time.perf_counter()
+    for epoch in range(cfg.epochs):
+        epochs_run += 1
+        order = rng_for(cfg.seed, STREAM_SHUFFLE, epoch).permutation(train_rows)
+        for batch in _batches(order, cfg.batch_size):
+            try:
+                loss = step(batch, len(trace))
+            except NumericsError:
+                aborted = True
+                break
+            trace.append(loss)
+            if not np.isfinite(loss):
+                aborted = True
+                break
+        if aborted:
+            break
+        metric = validate()
+        if metric > best_metric:
+            best_metric, best_epoch, bad_epochs = metric, epoch, 0
+            best = _snapshot(params)
+        else:
+            bad_epochs += 1
+            if bad_epochs >= cfg.patience:
+                break
+    train_seconds = time.perf_counter() - t0
+    _restore(params, best)
+    return TrainResult(params=params, best_metric=max(best_metric, 0.0),
+                       best_epoch=best_epoch, epochs_run=epochs_run,
+                       loss_trace=trace, train_seconds=train_seconds,
+                       aborted=aborted)
+
+
 # ---------------------------------------------------------------------------
 # ranking shared by teacher validation and student evaluation
 # ---------------------------------------------------------------------------
@@ -233,59 +286,21 @@ def pretrain_teacher(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
                      n_users: int, n_takeaways: int,
                      counters: Counters | None = None,
                      provider: SubgraphProvider | None = None) -> TrainResult:
-    """Train the graph teacher with early stopping on validation NDCG@10.
-
-    A non-finite training loss aborts the loop; the best (last good)
-    parameter snapshot is restored before returning.
-    """
-    if dataset.rows("train").size == 0:
-        raise InvalidArgumentError("dataset has no training rows")
+    """Train the graph teacher with early stopping on validation NDCG@10
+    (the loop is ``_fit``)."""
     params = build_teacher(cfg, stkg, n_users, n_takeaways)
     opt = teacher_optimizer(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
     if provider is None:
         provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed,
                                     counters)
-    train_rows = dataset.rows("train")
 
-    best = _snapshot(params)
-    best_metric, best_epoch, bad_epochs = -np.inf, -1, 0
-    trace: list[float] = []
-    aborted = False
-    t0 = time.perf_counter()
-    epoch = 0
-    for epoch in range(cfg.epochs):
-        order = rng_for(cfg.seed, STREAM_SHUFFLE, epoch).permutation(train_rows)
-        for batch in _batches(order, cfg.batch_size):
-            try:
-                loss = pretrain_step(provider.batch(batch),
-                                     dataset.target[batch], params, opt,
-                                     counters)
-            except NumericsError:
-                # debug-mode finite checks surface divergence as an error
-                aborted = True
-                break
-            trace.append(loss)
-            if not np.isfinite(loss):
-                aborted = True
-                break
-        if aborted:
-            break
-        metric = _teacher_val_ndcg(params, provider, dataset, cfg, counters)
-        if metric > best_metric:
-            best_metric, best_epoch, bad_epochs = metric, epoch, 0
-            best = _snapshot(params)
-        else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                break
-    train_seconds = time.perf_counter() - t0
-    _restore(params, best)
-    if best_epoch < 0:
-        best_metric = 0.0
-    return TrainResult(params=params, best_metric=max(best_metric, 0.0),
-                       best_epoch=best_epoch, epochs_run=epoch + 1,
-                       loss_trace=trace, train_seconds=train_seconds,
-                       aborted=aborted)
+    def step(batch, i):
+        return pretrain_step(provider.batch(batch), dataset.target[batch],
+                             params, opt, counters)
+
+    return _fit(cfg, params, dataset, step,
+                lambda: _teacher_val_ndcg(params, provider, dataset, cfg,
+                                          counters))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +443,8 @@ def distill(cfg: TrainConfig, dataset: SequenceDataset, n_takeaways: int,
             n_regions: int, signal: TeacherSignal | None = None,
             variant: str = "full", fusion: str = "stkd",
             fusion_readout=None) -> TrainResult:
-    """Train the student on the joint objective with early stopping.
+    """Train the student on the joint objective with early stopping (the
+    loop is ``_fit``).
 
     ``variant`` selects the ablation (parameter-group freezing and the KD
     blend).  ``fusion`` other than "stkd" replaces distillation with feature
@@ -451,65 +467,30 @@ def distill(cfg: TrainConfig, dataset: SequenceDataset, n_takeaways: int,
                freeze_rows=params.pad_frozen_rows())
     _apply_variant(params, opt, variant)
 
-    train_rows = dataset.rows("train")
-    if train_rows.size == 0:
-        raise InvalidArgumentError("dataset has no training rows")
-
-    best = _snapshot(params)
-    best_metric, best_epoch, bad_epochs = -np.inf, -1, 0
-    trace: list[float] = []
-    aborted = False
-    step = 0
-    t0 = time.perf_counter()
-    epoch = 0
-    for epoch in range(cfg.epochs):
-        order = rng_for(cfg.seed, STREAM_SHUFFLE, epoch).permutation(train_rows)
-        for batch in _batches(order, cfg.batch_size):
-            try:
-                fused = None
-                if fusion != "stkd":
-                    fused = fusion_readout(batch)
-                    if isinstance(fused, Tensor):
-                        fused = Tensor(fused.data)   # frozen teacher features
-                probs, logits = predict_scores(
-                    dataset.items[batch], dataset.regions[batch],
-                    dataset.dists[batch], params, train=True, seed=cfg.seed,
-                    step=step, fused=fused, fusion=fusion)
-                rec = rec_loss(probs, dataset.target[batch])
-                if alpha > 0.0:
-                    kd = kd_loss(signal.logits(batch), logits, cfg.temperature)
-                else:
-                    kd = 0.0
-                loss = joint_loss(kd, rec, alpha)
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-            except NumericsError:
-                # debug-mode finite checks surface divergence as an error
-                aborted = True
-                break
-            trace.append(float(loss.data))
-            step += 1
-            if not np.isfinite(trace[-1]):
-                aborted = True
-                break
-        if aborted:
-            break
-        metric = _student_val_ndcg(params, dataset, cfg, fusion=fusion,
-                                   fused_rows=fusion_readout)
-        if metric > best_metric:
-            best_metric, best_epoch, bad_epochs = metric, epoch, 0
-            best = _snapshot(params)
+    def step(batch, i):
+        fused = None
+        if fusion != "stkd":
+            fused = fusion_readout(batch)
+            if isinstance(fused, Tensor):
+                fused = Tensor(fused.data)   # frozen teacher features
+        probs, logits = predict_scores(
+            dataset.items[batch], dataset.regions[batch],
+            dataset.dists[batch], params, train=True, seed=cfg.seed,
+            step=i, fused=fused, fusion=fusion)
+        rec = rec_loss(probs, dataset.target[batch])
+        if alpha > 0.0:
+            kd = kd_loss(signal.logits(batch), logits, cfg.temperature)
         else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                break
-    train_seconds = time.perf_counter() - t0
-    _restore(params, best)
-    return TrainResult(params=params, best_metric=max(best_metric, 0.0),
-                       best_epoch=best_epoch, epochs_run=epoch + 1,
-                       loss_trace=trace, train_seconds=train_seconds,
-                       aborted=aborted)
+            kd = 0.0
+        loss = joint_loss(kd, rec, alpha)
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+        return float(loss.data)
+
+    return _fit(cfg, params, dataset, step,
+                lambda: _student_val_ndcg(params, dataset, cfg, fusion=fusion,
+                                          fused_rows=fusion_readout))
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}{tag})"
@@ -191,16 +188,6 @@ def div(a, b) -> Tensor:
     return _link(out, (a, b), backward, "div")
 
 
-def power(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data ** exponent)
-
-    def backward(g):
-        _accum(a, g * exponent * a.data ** (exponent - 1))
-
-    return _link(out, (a,), backward, "power")
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.maximum(a.data, 0.0))
@@ -233,17 +220,6 @@ def tanh(a) -> Tensor:
         _accum(a, g * (1.0 - t * t))
 
     return _link(out, (a,), backward, "tanh")
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    e = np.exp(a.data)
-    out = Tensor(e)
-
-    def backward(g):
-        _accum(a, g * e)
-
-    return _link(out, (a,), backward, "exp")
 
 
 def log(a) -> Tensor:
@@ -374,26 +350,6 @@ def take_rows(table, ids) -> Tensor:
     return _link(out, (table,), backward, "take_rows")
 
 
-def take_rows_padded(table, ids, pad_below: int = 0) -> Tensor:
-    """Like take_rows but ids < pad_below yield all-zero rows and no gradient."""
-    table = as_tensor(table)
-    ids = np.asarray(ids)
-    valid = ids >= pad_below
-    safe = np.where(valid, ids, 0)
-    data = table.data[safe]
-    data[~valid] = 0.0
-    out = Tensor(data)
-
-    def backward(g):
-        gt = np.zeros_like(table.data)
-        flat_ids = safe.reshape(-1)
-        flat_g = (g * valid[..., None]).reshape(-1, table.data.shape[1])
-        np.add.at(gt, flat_ids, flat_g)
-        _accum(table, gt)
-
-    return _link(out, (table,), backward, "take_rows_padded")
-
-
 def take_at(a, idx) -> Tensor:
     """Per-row element pick: out[i] = a[i, idx[i]] for 2-D a."""
     a = as_tensor(a)
@@ -475,57 +431,10 @@ def masked_softmax(scores, valid=None, temperature: float = 1.0, axis: int = -1)
     return _link(out, (scores,), backward, "softmax")
 
 
-def softmax(v, temperature: float = 1.0) -> Tensor:
-    """Probability vector from a 1-D score vector (see masked_softmax)."""
-    v = as_tensor(v)
-    if v.data.ndim != 1 or v.data.size == 0:
-        raise InvalidArgumentError("softmax expects a non-empty 1-D vector")
-    return masked_softmax(v, valid=None, temperature=temperature, axis=-1)
-
-
-def cross_entropy(pred, target: int) -> Tensor:
-    """-log(pred[target] + CLAMP) for a 1-D probability vector."""
-    pred = as_tensor(pred)
-    if pred.data.ndim != 1:
-        raise InvalidArgumentError("cross_entropy expects a 1-D probability vector")
-    if not 0 <= int(target) < pred.data.size:
-        raise IndexError(f"target {target} out of range [0, {pred.data.size})")
-    if config.debug_checks() and abs(pred.data.sum() - 1.0) > 1e-6:
-        raise InvalidArgumentError("cross_entropy input does not sum to 1")
-    picked = take_at(reshape(pred, (1, -1)), np.array([int(target)]))
-    return -tsum(log(picked))
-
-
 def batch_cross_entropy(probs, targets) -> Tensor:
     """Mean of -log(probs[i, targets[i]] + CLAMP) over a batch."""
     picked = take_at(probs, np.asarray(targets))
     return -tmean(log(picked))
-
-
-def kl_divergence(p, q) -> Tensor:
-    """KL(p || q) with q floored at CLAMP; p is treated as a constant."""
-    p_arr = p.data if isinstance(p, Tensor) else np.asarray(p, dtype=config.dtype())
-    q = as_tensor(q)
-    if p_arr.shape != q.data.shape:
-        raise InvalidArgumentError(
-            f"kl_divergence shape mismatch: {p_arr.shape} vs {q.data.shape}")
-    # 0 * log(0 / q) contributes exactly 0.
-    p_logp = float(np.sum(np.where(p_arr > 0, p_arr * np.log(np.maximum(p_arr, CLAMP)), 0.0)))
-    cross = tsum(mul(Tensor(p_arr), log(q)))
-    return sub(p_logp, cross)
-
-
-def batch_kl_divergence(p, q, axis: int = -1) -> Tensor:
-    """Mean over leading axes of KL(p_i || q_i); p constant, q on the tape."""
-    p_arr = p.data if isinstance(p, Tensor) else np.asarray(p, dtype=config.dtype())
-    q = as_tensor(q)
-    if p_arr.shape != q.data.shape:
-        raise InvalidArgumentError(
-            f"kl_divergence shape mismatch: {p_arr.shape} vs {q.data.shape}")
-    n_rows = int(np.prod(p_arr.shape) // p_arr.shape[axis])
-    p_logp = np.where(p_arr > 0, p_arr * np.log(np.maximum(p_arr, CLAMP)), 0.0).sum()
-    cross = tsum(mul(Tensor(p_arr), log(q)))
-    return div(sub(float(p_logp), cross), float(n_rows))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from stkd.tensor import Tensor
 
 def test_passes_on_correct_gradient():
     a = Tensor(np.random.default_rng(0).standard_normal((3, 3)), requires_grad=True)
-    report = finite_diff_check(lambda q: T.tsum(T.power(q["a"], 2.0)), {"a": a},
+    report = finite_diff_check(lambda q: T.tsum(q["a"] * q["a"]), {"a": a},
                                rel_tol=1e-4)
     assert report.passed
     assert report.max_rel_err < 1e-6
@@ -56,7 +56,7 @@ def test_report_names_worst_parameter():
     a = Tensor(np.array([[0.3, -0.7]]), requires_grad=True)
     b = Tensor(np.array([2.0]), requires_grad=True)
     report = finite_diff_check(
-        lambda q: T.tsum(T.exp(q["a"])) + T.tsum(T.power(q["b"], 2.0)),
+        lambda q: T.tsum(T.tanh(q["a"])) + T.tsum(q["b"] * q["b"]),
         {"a": a, "b": b})
     assert report.worst_param in {"a", "b"}
     assert set(report.per_param) == {"a", "b"}

@@ -116,18 +116,35 @@ def test_pretrain_reduces_loss_and_sets_best(pretrained):
     assert counters.get("teacher_forwards") > 0
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-def test_pretrain_abort_on_divergence(world):
+def _train(stage, cfg, world):
+    """Run one training stage on ``world`` (the student without KD)."""
     dataset, stkg, vocab = world
+    if stage == "teacher":
+        return pretrain_teacher(cfg, dataset, stkg, vocab.n_users,
+                                vocab.n_takeaways)
+    return distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
+                   variant="no_kd")
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("stage", ["teacher", "student"])
+def test_pretrain_abort_on_divergence(world, stage):
     # an absurd learning rate overflows the second step into inf - inf = NaN
     cfg = tiny_cfg(lr=1e200, epochs=3)
-    result = pretrain_teacher(cfg, dataset, stkg, vocab.n_users,
-                              vocab.n_takeaways)
+    result = _train(stage, cfg, world)
     assert result.aborted
     assert result.epochs_run <= cfg.epochs
     # the retained (last good) parameters are still finite
     for name, t in result.params.as_dict().items():
         assert np.all(np.isfinite(t.data)), name
+
+
+@pytest.mark.parametrize("stage", ["teacher", "student"])
+def test_zero_epochs_runs_no_epoch(world, stage):
+    result = _train(stage, tiny_cfg(epochs=0), world)
+    assert result.epochs_run == 0
+    assert result.best_epoch == -1 and result.best_metric == 0.0
+    assert result.loss_trace == [] and not result.aborted
 
 
 # ---------------------------------------------------------------------------

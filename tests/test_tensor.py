@@ -1,5 +1,8 @@
 """Numerics core: forward-value oracles and per-primitive gradient checks."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,11 @@ def check(f, params, tol=TOL):
     assert report.passed, str(report)
 
 
+def sumsq(y):
+    """sum(y * y): a smooth scalar loss that checks y's own gradient."""
+    return T.tsum(y * y)
+
+
 def p(shape, scale=1.0, seed=None):
     rng = np.random.default_rng(seed) if seed is not None else RNG
     return T.Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
@@ -27,7 +35,7 @@ def p(shape, scale=1.0, seed=None):
 
 def test_softmax_matches_reference_values():
     # Reference computed with scipy.special.softmax on [1,2,3]/3.
-    out = T.softmax(T.Tensor([1.0, 2.0, 3.0]), temperature=3.0)
+    out = T.masked_softmax(T.Tensor([1.0, 2.0, 3.0]), temperature=3.0)
     expected = [0.23023721634819047, 0.32132191985276876, 0.44844086379904069]
     np.testing.assert_allclose(out.data, expected, rtol=1e-12)
     assert abs(out.data.sum() - 1.0) < 1e-12
@@ -35,26 +43,26 @@ def test_softmax_matches_reference_values():
 
 def test_softmax_shift_invariance():
     v = RNG.standard_normal(9)
-    a = T.softmax(T.Tensor(v)).data
-    b = T.softmax(T.Tensor(v + 123.456)).data
+    a = T.masked_softmax(T.Tensor(v)).data
+    b = T.masked_softmax(T.Tensor(v + 123.456)).data
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 def test_softmax_extreme_scores_stay_finite():
-    out = T.softmax(T.Tensor([1e4, -1e4, 0.0])).data
+    out = T.masked_softmax(T.Tensor([1e4, -1e4, 0.0])).data
     assert np.all(np.isfinite(out))
     assert abs(out.sum() - 1.0) < 1e-12
 
 
 def test_softmax_rejects_bad_input():
     with pytest.raises(InvalidArgumentError):
-        T.softmax(T.Tensor(np.zeros((2, 2))))
+        T.masked_softmax(T.Tensor(np.zeros((2, 0))))
     with pytest.raises(InvalidArgumentError):
-        T.softmax(T.Tensor(np.zeros(0)))
+        T.masked_softmax(T.Tensor(np.zeros(0)))
     with pytest.raises(InvalidArgumentError):
-        T.softmax(T.Tensor([1.0, 2.0]), temperature=0.0)
+        T.masked_softmax(T.Tensor([1.0, 2.0]), temperature=0.0)
     with pytest.raises(InvalidArgumentError):
-        T.softmax(T.Tensor([1.0, 2.0]), temperature=-1.0)
+        T.masked_softmax(T.Tensor([1.0, 2.0]), temperature=-1.0)
 
 
 def test_masked_softmax_zeroes_masked_entries():
@@ -79,39 +87,15 @@ def test_masked_softmax_all_masked_row_is_zero():
 
 def test_cross_entropy_matches_reference():
     # -log(0.7) computed independently.
-    out = T.cross_entropy(T.Tensor([0.1, 0.7, 0.2]), 1)
+    out = T.batch_cross_entropy(T.Tensor([[0.1, 0.7, 0.2]]), [1])
     assert abs(out.item() - 0.35667494393873245) < 1e-12
 
 
 def test_cross_entropy_zero_probability_is_clamped():
-    out = T.cross_entropy(T.Tensor([1.0, 0.0]), 1)
+    out = T.batch_cross_entropy(T.Tensor([[1.0, 0.0]]), [1])
     assert abs(out.item() - (-np.log(T.CLAMP))) < 1e-9
     with pytest.raises(IndexError):
-        T.cross_entropy(T.Tensor([0.5, 0.5]), 2)
-
-
-def test_kl_divergence_matches_scipy_reference():
-    # scipy.stats.entropy([0.1,0.2,0.3,0.4], [0.25]*4)
-    out = T.kl_divergence(T.Tensor([0.1, 0.2, 0.3, 0.4]),
-                          T.Tensor([0.25, 0.25, 0.25, 0.25]))
-    assert abs(out.item() - 0.10644013528622315) < 1e-12
-
-
-def test_kl_divergence_zero_p_entries_contribute_nothing():
-    # scipy.stats.entropy([0, .5, .5], [.2, .4, .4])
-    out = T.kl_divergence(T.Tensor([0.0, 0.5, 0.5]), T.Tensor([0.2, 0.4, 0.4]))
-    assert abs(out.item() - 0.22314355131420971) < 1e-12
-
-
-def test_kl_divergence_identical_distributions_is_zero():
-    q = T.softmax(T.Tensor(RNG.standard_normal(11))).data
-    out = T.kl_divergence(T.Tensor(q.copy()), T.Tensor(q.copy()))
-    assert abs(out.item()) < 1e-12
-
-
-def test_kl_divergence_shape_mismatch_raises():
-    with pytest.raises(InvalidArgumentError):
-        T.kl_divergence(T.Tensor([0.5, 0.5]), T.Tensor([0.2, 0.4, 0.4]))
+        T.batch_cross_entropy(T.Tensor([[0.5, 0.5]]), [2])
 
 
 def test_layer_norm_forward_matches_reference():
@@ -144,12 +128,6 @@ def test_grad_sub_div():
     check(lambda q: T.tsum(T.div(T.sub(q["a"], 1.5), q["b"])), {"a": a, "b": b})
 
 
-def test_grad_power():
-    a = p((5,), seed=4)
-    a.data = np.abs(a.data) + 0.5
-    check(lambda q: T.tsum(T.power(q["a"], 3.0)), {"a": a})
-
-
 def test_grad_matmul_2d():
     a, b = p((4, 3), seed=5), p((3, 2), seed=6)
     check(lambda q: T.tsum(q["a"] @ q["b"]), {"a": a, "b": b})
@@ -162,7 +140,7 @@ def test_grad_matmul_batched():
 
 def test_grad_matmul_broadcast_weight():
     a, b = p((2, 3, 4), seed=9), p((4, 5), seed=10)
-    check(lambda q: T.tsum(T.power(q["a"] @ q["b"], 2.0)), {"a": a, "b": b})
+    check(lambda q: sumsq(q["a"] @ q["b"]), {"a": a, "b": b})
 
 
 def test_grad_relu():
@@ -172,8 +150,7 @@ def test_grad_relu():
 
 def test_grad_sigmoid_tanh_exp():
     a = p((3, 3), seed=12)
-    check(lambda q: T.tsum(T.sigmoid(q["a"]) + T.tanh(q["a"]) + T.exp(q["a"])),
-          {"a": a})
+    check(lambda q: T.tsum(T.sigmoid(q["a"]) + T.tanh(q["a"])), {"a": a})
 
 
 def test_grad_log():
@@ -184,9 +161,8 @@ def test_grad_log():
 
 def test_grad_sum_mean_axes():
     a = p((3, 4), seed=14)
-    check(lambda q: T.tsum(T.power(T.tmean(q["a"], axis=1), 2.0)), {"a": a})
-    check(lambda q: T.tsum(T.power(T.tsum(q["a"], axis=0, keepdims=True), 2.0)),
-          {"a": a})
+    check(lambda q: sumsq(T.tmean(q["a"], axis=1)), {"a": a})
+    check(lambda q: sumsq(T.tsum(q["a"], axis=0, keepdims=True)), {"a": a})
 
 
 def test_grad_reshape_swapaxes_concat():
@@ -195,19 +171,19 @@ def test_grad_reshape_swapaxes_concat():
         r = T.reshape(q["a"], (2, 3, 2))
         s = T.swapaxes(r, 1, 2)
         c = T.concat([T.reshape(s, (2, 6)), q["b"]], axis=1)
-        return T.tsum(T.power(c, 2.0))
+        return sumsq(c)
     check(f, {"a": a, "b": b})
 
 
 def test_grad_rows_slice():
     a = p((5, 3), seed=17)
-    check(lambda q: T.tsum(T.power(T.rows(q["a"], 1, 4), 2.0)), {"a": a})
+    check(lambda q: sumsq(T.rows(q["a"], 1, 4)), {"a": a})
 
 
 def test_grad_take_rows_with_repeats():
     table = p((6, 3), seed=18)
     ids = np.array([[0, 2, 2], [5, 0, 1]])
-    check(lambda q: T.tsum(T.power(T.take_rows(q["t"], ids), 2.0)), {"t": table})
+    check(lambda q: sumsq(T.take_rows(q["t"], ids)), {"t": table})
 
 
 def test_take_rows_range_check():
@@ -218,22 +194,13 @@ def test_take_rows_range_check():
         T.take_rows(table, np.array([-1]))
 
 
-def test_grad_take_rows_padded():
-    table = p((6, 3), seed=19)
-    ids = np.array([[1, 0, 3], [0, 5, 0]])  # 0 = padding, yields zero rows
-    out = T.take_rows_padded(table, ids, pad_below=1)
-    assert np.all(out.data[0, 1] == 0.0)
-    check(lambda q: T.tsum(T.power(T.take_rows_padded(q["t"], ids, pad_below=1), 2.0)),
-          {"t": table})
-
-
 def test_grad_take_at_take_positions():
     a = p((4, 5), seed=20)
     idx = np.array([0, 4, 2, 2])
-    check(lambda q: T.tsum(T.power(T.take_at(q["a"], idx), 2.0)), {"a": a})
+    check(lambda q: sumsq(T.take_at(q["a"], idx)), {"a": a})
     b = p((3, 4, 2), seed=21)
     pos = np.array([3, 0, 2])
-    check(lambda q: T.tsum(T.power(T.take_positions(q["b"], pos), 2.0)), {"b": b})
+    check(lambda q: sumsq(T.take_positions(q["b"], pos)), {"b": b})
 
 
 def test_grad_segment_sum():
@@ -243,7 +210,7 @@ def test_grad_segment_sum():
     # segment 3 receives nothing
     assert np.all(out.data[3] == 0.0)
     np.testing.assert_allclose(out.data[0], x.data[0] + x.data[4], atol=1e-12)
-    check(lambda q: T.tsum(T.power(T.segment_sum(q["x"], seg, 4), 2.0)), {"x": x})
+    check(lambda q: sumsq(T.segment_sum(q["x"], seg, 4)), {"x": x})
 
 
 def test_grad_softmax_masked_and_temperature():
@@ -262,20 +229,11 @@ def test_grad_layer_norm():
           {"x": x, "g": g, "b": b})
 
 
-def test_grad_cross_entropy_and_kl_through_softmax():
-    a = p((7,), seed=29)
-    check(lambda q: T.cross_entropy(T.softmax(q["a"]), 3), {"a": a})
-    target = T.softmax(T.Tensor(np.random.default_rng(30).standard_normal(7))).data
-    check(lambda q: T.kl_divergence(target, T.softmax(q["a"])), {"a": a})
-
-
 def test_grad_batch_losses():
     a = p((4, 6), seed=31)
     targets = np.array([0, 5, 2, 2])
     check(lambda q: T.batch_cross_entropy(T.masked_softmax(q["a"]), targets),
           {"a": a})
-    pk = T.masked_softmax(T.Tensor(np.random.default_rng(32).standard_normal((4, 6)))).data
-    check(lambda q: T.batch_kl_divergence(pk, T.masked_softmax(q["a"])), {"a": a})
 
 
 def test_grad_accumulates_across_reuse():
@@ -297,3 +255,38 @@ def test_dropout_scaling_and_grad_mask():
     np.testing.assert_allclose(x.grad[~kept], 0.0, atol=0)
     # rate 0 short-circuits to the identity
     assert T.dropout(x, 0.0, rng) is x
+
+
+# ---------------------------------------------------------------------------
+# no dead primitives
+# ---------------------------------------------------------------------------
+
+def _referenced_tensor_names(pkg: Path) -> set[str]:
+    """Names the package uses from stkd.tensor: ``T.<name>`` and
+    ``tensor.<name>`` attributes and ``from .tensor import <name>`` anywhere,
+    plus every bare name loaded inside tensor.py itself."""
+    used = set()
+    for path in pkg.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("T", "tensor")):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "tensor":
+                used.update(alias.name for alias in node.names)
+            elif (path.name == "tensor.py" and isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)):
+                used.add(node.id)
+    return used
+
+
+def test_every_public_primitive_is_used_by_the_package():
+    # a primitive that only tests call is dead code: delete it or use it
+    source = Path(T.__file__)
+    public = {node.name for node in ast.parse(source.read_text()).body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")}
+    unused = public - _referenced_tensor_names(source.parent)
+    assert not unused, f"stkd/tensor.py primitives no package code uses: " \
+                       f"{sorted(unused)}"

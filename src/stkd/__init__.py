@@ -18,6 +18,8 @@ Layer map (each module usable on its own):
 * :mod:`stkd.metrics` / :mod:`stkd.pipeline` / :mod:`stkd.cli` — ranked
   evaluation, the two-stage pipeline with ablation/fusion/sweep studies,
   and the command-line front end.
+* :mod:`stkd.artifacts` — the one on-disk codec: atomic writes, versioned
+  npz artifacts bound to the vocabulary hash, JSON and JSONL files.
 """
 
 from .config import TrainConfig, precision, rng_for, set_debug_checks

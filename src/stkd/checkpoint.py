@@ -1,31 +1,23 @@
 """Versioned model checkpoints.
 
-A checkpoint is a single ``.npz`` archive holding every parameter array
-plus three metadata entries:
-
-* ``__format_version__`` — integer, bumped on any layout change;
-* ``__config__`` — JSON echo of the builder kwargs needed to rebuild the
-  parameter object with matching shapes;
-* ``__vocab_hash__`` — content hash of the vocabulary the model was
-  trained against.  Loading refuses to proceed when the caller supplies a
-  different hash, because item/region ids would silently mean different
-  things.
+A checkpoint is a ``teacher`` or ``student`` artifact (see
+:mod:`stkd.artifacts`): every parameter array, plus in its meta the JSON echo
+of the builder kwargs needed to rebuild the parameter object with matching
+shapes and the content hash of the vocabulary the model was trained against.
+Loading refuses to proceed when the caller supplies a different hash, because
+item/region ids would silently mean different things.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-import numpy as np
-
-from .errors import ConsistencyError, VocabMismatchError
+from .artifacts import read_npz, write_npz
+from .errors import ConsistencyError
 from .student import StudentParams
 from .teacher import TeacherParams
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
-_META_KEYS = ("__format_version__", "__config__", "__vocab_hash__")
+_KINDS = {TeacherParams: "teacher", StudentParams: "student"}
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
@@ -38,38 +30,18 @@ __all__ = [
 
 def save_checkpoint(path, params, config: dict, vocab_hash: str) -> None:
     """Write ``params`` (a Teacher/Student parameter object) to ``path``."""
-    arrays = {name: t.data for name, t in params.as_dict().items()}
-    for key in _META_KEYS:
-        if key in arrays:
-            raise ConsistencyError(f"parameter name collides with metadata key {key!r}")
-    payload = dict(arrays)
-    payload["__format_version__"] = np.array(CHECKPOINT_FORMAT_VERSION)
-    payload["__config__"] = np.array(json.dumps(config, sort_keys=True))
-    payload["__vocab_hash__"] = np.array(vocab_hash)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, **payload)
+    write_npz(path, _KINDS[type(params)], CHECKPOINT_FORMAT_VERSION,
+              {name: t.data for name, t in params.as_dict().items()},
+              {"config": config, "vocab_hash": vocab_hash})
 
 
-def load_arrays(path, expected_vocab_hash: str | None = None):
-    """Read a checkpoint; returns ``(arrays, config, vocab_hash)``."""
-    with np.load(Path(path), allow_pickle=False) as z:
-        if "__format_version__" not in z:
-            raise ConsistencyError(f"{path}: not a model checkpoint")
-        version = int(z["__format_version__"])
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise ConsistencyError(
-                f"{path}: checkpoint format {version} unsupported "
-                f"(expected {CHECKPOINT_FORMAT_VERSION})")
-        config = json.loads(str(z["__config__"]))
-        vocab_hash = str(z["__vocab_hash__"])
-        arrays = {k: z[k] for k in z.files if k not in _META_KEYS}
-    if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
-        raise VocabMismatchError(
-            f"{path}: checkpoint was trained against vocabulary "
-            f"{vocab_hash[:12]}… but the data on hand hashes to "
-            f"{expected_vocab_hash[:12]}…; rebuild or re-train")
-    return arrays, config, vocab_hash
+def load_arrays(path, expected_vocab_hash: str | None = None,
+                kinds: tuple[str, ...] = ("teacher", "student")):
+    """Read a checkpoint of one of ``kinds``; returns ``(arrays, config,
+    vocab_hash)``."""
+    arrays, meta = read_npz(path, kinds, CHECKPOINT_FORMAT_VERSION,
+                            expected_vocab_hash)
+    return arrays, meta["config"], meta["vocab_hash"]
 
 
 def _restore(params, arrays, path) -> None:
@@ -89,7 +61,8 @@ def _restore(params, arrays, path) -> None:
 
 def load_teacher(path, expected_vocab_hash: str | None = None):
     """Rebuild a :class:`TeacherParams` from a checkpoint."""
-    arrays, config, vocab_hash = load_arrays(path, expected_vocab_hash)
+    arrays, config, vocab_hash = load_arrays(path, expected_vocab_hash,
+                                             ("teacher",))
     params = TeacherParams(**config)
     _restore(params, arrays, path)
     return params, config, vocab_hash
@@ -97,7 +70,8 @@ def load_teacher(path, expected_vocab_hash: str | None = None):
 
 def load_student(path, expected_vocab_hash: str | None = None):
     """Rebuild a :class:`StudentParams` from a checkpoint."""
-    arrays, config, vocab_hash = load_arrays(path, expected_vocab_hash)
+    arrays, config, vocab_hash = load_arrays(path, expected_vocab_hash,
+                                             ("student",))
     params = StudentParams(**config)
     _restore(params, arrays, path)
     return params, config, vocab_hash

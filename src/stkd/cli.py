@@ -9,11 +9,21 @@ outputs without extra plumbing:
     vocab.json              id maps + content hash
     dataset.npz             columnar (prefix -> target) samples with splits
     graph.npz               spatial-temporal knowledge graph (CSR)
+    graph_stats.json        graph composition and degree histogram
     teacher.npz             pre-trained graph-teacher checkpoint
     soft_labels.npz         cached teacher distributions for training rows
+    pretrain_report.json    teacher training summary and counters
     student.npz             distilled student checkpoint
+    distill_report.json     student training summary and loss trace
     metrics_<split>.json    evaluation report
     ablation_<variant>.json / fusion_<strategy>.json / sweep_<label>.json
+
+Every file is written through :mod:`stkd.artifacts`: atomically replaced,
+and, for the npz artifacts, versioned and bound to the hash of
+``vocab.json``.  Each command loads the vocabulary first and refuses a
+dataset, graph, checkpoint or soft-label cache built against another one; a
+torn, stale or foreign artifact, like any bad input, exits 2 with
+``error: ...``.
 """
 
 from __future__ import annotations
@@ -23,9 +33,10 @@ import json
 import sys
 from pathlib import Path
 
+from .artifacts import read_json, write_json
 from .checkpoint import load_student, load_teacher, save_checkpoint
-from .config import TrainConfig
-from .errors import StkdError
+from .config import TrainConfig, config_from_dict
+from .errors import ConfigError, StkdError
 from .events import ingest_events
 from .graph import Stkg, build_stkg, graph_stats
 from .instrument import Counters
@@ -50,7 +61,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _load_train_config(args) -> TrainConfig:
     if args.config:
-        cfg = TrainConfig.load(args.config)
+        cfg = TrainConfig.from_dict(read_json(args.config, ConfigError))
     else:
         cfg = TrainConfig()
     updates = {}
@@ -82,8 +93,8 @@ def _graph_path(cfg: TrainConfig) -> Path:
 
 
 def _load_prepared(cfg: TrainConfig):
-    dataset = SequenceDataset.load(_dataset_path(cfg))
     vocab = load_vocab(_out_dir(cfg) / "vocab.json")
+    dataset = SequenceDataset.load(_dataset_path(cfg), vocab.content_hash())
     return dataset, vocab
 
 
@@ -92,15 +103,11 @@ def _load_prepared(cfg: TrainConfig):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_synth(args) -> int:
-    overrides = {}
-    if args.config:
-        overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    overrides = read_json(args.config, ConfigError) if args.config else {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    scfg = SyntheticConfig(**overrides)
-    out = Path(args.out_dir or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "events.jsonl"
+    scfg = config_from_dict(SyntheticConfig, overrides)
+    path = Path(args.out_dir or "out") / "events.jsonl"
     n = write_synthetic(scfg, path)
     print(json.dumps({"events": n, "path": str(path), "seed": scfg.seed}))
     return 0
@@ -133,8 +140,7 @@ def cmd_build_graph(args) -> int:
     stkg = build_stkg(events, vocab)
     stkg.save(_graph_path(cfg))
     stats = graph_stats(stkg)
-    (out / "graph_stats.json").write_text(stats.to_json() + "\n",
-                                          encoding="utf-8")
+    write_json(out / "graph_stats.json", stats.__dict__, indent=None)
     print(stats.to_json())
     return 0
 
@@ -143,7 +149,7 @@ def cmd_pretrain(args) -> int:
     cfg = _load_train_config(args)
     out = _out_dir(cfg)
     dataset, vocab = _load_prepared(cfg)
-    stkg = Stkg.load(_graph_path(cfg))
+    stkg = Stkg.load(_graph_path(cfg), vocab.content_hash())
     counters = Counters()
     provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed, counters)
     result = pretrain_teacher(cfg, dataset, stkg, vocab.n_users,
@@ -160,8 +166,7 @@ def cmd_pretrain(args) -> int:
               "train_seconds": result.train_seconds,
               "final_loss": result.loss_trace[-1] if result.loss_trace else None,
               "counters": counters.snapshot(), "config": cfg.to_dict()}
-    (out / "pretrain_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(out / "pretrain_report.json", report)
     print(json.dumps({k: report[k] for k in
                       ("best_ndcg10", "best_epoch", "epochs_run", "aborted")}))
     return 0
@@ -181,7 +186,7 @@ def cmd_distill(args) -> int:
         else:
             teacher, _, _ = load_teacher(out / "teacher.npz",
                                          vocab.content_hash())
-            stkg = Stkg.load(_graph_path(cfg))
+            stkg = Stkg.load(_graph_path(cfg), vocab.content_hash())
             provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed)
             signal = TeacherSignal(teacher=teacher, provider=provider)
     result = distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
@@ -192,8 +197,7 @@ def cmd_distill(args) -> int:
               "epochs_run": result.epochs_run, "aborted": result.aborted,
               "train_seconds": result.train_seconds, "variant": variant,
               "loss_trace": result.loss_trace, "config": cfg.to_dict()}
-    (out / "distill_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(out / "distill_report.json", report)
     print(json.dumps({k: report[k] for k in
                       ("best_ndcg10", "best_epoch", "epochs_run", "aborted",
                        "variant")}))
@@ -217,8 +221,7 @@ def cmd_evaluate(args) -> int:
     train_seconds = 0.0
     report_path = out / "distill_report.json"
     if report_path.exists():
-        train_seconds = json.loads(report_path.read_text(encoding="utf-8")).get(
-            "train_seconds", 0.0)
+        train_seconds = read_json(report_path).get("train_seconds", 0.0)
     counters = Counters()
     report = evaluate(student, dataset, cfg, split=args.split,
                       train_seconds=train_seconds, counters=counters)
@@ -231,7 +234,7 @@ def cmd_ablate(args) -> int:
     cfg = _load_train_config(args)
     out = _out_dir(cfg)
     dataset, vocab = _load_prepared(cfg)
-    stkg = Stkg.load(_graph_path(cfg))
+    stkg = Stkg.load(_graph_path(cfg), vocab.content_hash())
     variants = tuple(args.variant) if args.variant else ABLATION_VARIANTS
     reports = ablate(cfg, dataset, stkg, vocab.n_users, vocab.n_takeaways,
                      vocab.n_regions, variants=variants, split=args.split)
@@ -248,7 +251,7 @@ def cmd_ablate_fusion(args) -> int:
     cfg = _load_train_config(args)
     out = _out_dir(cfg)
     dataset, vocab = _load_prepared(cfg)
-    stkg = Stkg.load(_graph_path(cfg))
+    stkg = Stkg.load(_graph_path(cfg), vocab.content_hash())
     strategies = tuple(args.strategy) if args.strategy else FUSION_STRATEGIES
     reports = ablate_fusion(cfg, dataset, stkg, vocab.n_users,
                             vocab.n_takeaways, vocab.n_regions,
@@ -270,7 +273,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_train_config(args)
     out = _out_dir(cfg)
     dataset, vocab = _load_prepared(cfg)
-    stkg = Stkg.load(_graph_path(cfg))
+    stkg = Stkg.load(_graph_path(cfg), vocab.content_hash())
     parameter = args.strategy[0] if args.strategy else "temperature"
     reports = sweep(cfg, dataset, stkg, vocab.n_users, vocab.n_takeaways,
                     vocab.n_regions, parameter=parameter, split=args.split)

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import contextlib
-import json
-from dataclasses import dataclass, field, asdict
-from pathlib import Path
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -118,15 +116,13 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        return config_from_dict(cls, data)
 
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
-    @classmethod
-    def load(cls, path) -> "TrainConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+def config_from_dict(cls, data: dict):
+    """Build the config dataclass ``cls`` from ``data``; unknown keys raise
+    ConfigError."""
+    unknown = set(data) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    return cls(**data)

@@ -20,13 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import read_npz, write_npz
 from .config import STREAM_SUBGRAPH, rng_for
 from .errors import ConsistencyError
 from .events import PurchaseEvent, Vocab
 from .geo import (N_DISTANCE_BUCKETS, bucketize_distance, geohash6_centroid,
                   spherical_distance)
 
-GRAPH_FORMAT_VERSION = 2
+GRAPH_FORMAT_VERSION = 3
 
 N_TIME_BUCKETS = 7 * 24  # weekday x hour-of-day, UTC
 
@@ -83,44 +84,24 @@ class Stkg:
         lo, hi = self.indptr[entity], self.indptr[entity + 1]
         return self.neighbors[lo:hi], self.rels[lo:hi]
 
-    def save(self, path: str) -> None:
-        np.savez_compressed(
-            str(path) if str(path).endswith(".npz") else str(path) + ".npz",
-            format_version=np.int64(GRAPH_FORMAT_VERSION),
-            n_users=np.int64(self.n_users),
-            n_takeaways=np.int64(self.n_takeaways),
-            relations=np.array(self.relations, dtype=np.str_),
-            attr_fields=np.array([f for f, _ in self.attr_entities],
-                                 dtype=np.str_),
-            attr_values=np.array([v for _, v in self.attr_entities],
-                                 dtype=np.str_),
-            indptr=self.indptr, neighbors=self.neighbors, rels=self.rels,
-            family_counts=np.bytes_(json.dumps(self.family_counts).encode()),
-            vocab_hash=np.bytes_(self.vocab_hash.encode()))
+    def save(self, path) -> None:
+        write_npz(path, "graph", GRAPH_FORMAT_VERSION,
+                  {"indptr": self.indptr, "neighbors": self.neighbors,
+                   "rels": self.rels},
+                  {"n_users": self.n_users, "n_takeaways": self.n_takeaways,
+                   "attr_entities": self.attr_entities,
+                   "relations": self.relations,
+                   "family_counts": self.family_counts,
+                   "vocab_hash": self.vocab_hash})
 
     @classmethod
-    def load(cls, path: str) -> "Stkg":
-        """Read a graph file; refuses other format versions and any file
-        that would need pickle (object arrays) to load."""
-        try:
-            with np.load(path, allow_pickle=False) as z:
-                version = int(z["format_version"])
-                if version != GRAPH_FORMAT_VERSION:
-                    raise ConsistencyError(
-                        f"graph file version {version} != supported "
-                        f"{GRAPH_FORMAT_VERSION}")
-                return cls(n_users=int(z["n_users"]),
-                           n_takeaways=int(z["n_takeaways"]),
-                           attr_entities=list(zip(z["attr_fields"].tolist(),
-                                                  z["attr_values"].tolist())),
-                           relations=z["relations"].tolist(),
-                           indptr=z["indptr"], neighbors=z["neighbors"],
-                           rels=z["rels"],
-                           family_counts=json.loads(bytes(z["family_counts"])),
-                           vocab_hash=bytes(z["vocab_hash"]).decode())
-        except (KeyError, ValueError) as exc:
-            # a missing entry, or numpy refusing an object array
-            raise ConsistencyError(f"{path}: unreadable graph file: {exc!r}")
+    def load(cls, path, expected_vocab_hash: str | None = None) -> "Stkg":
+        """Read a graph file; :func:`stkd.artifacts.read_npz` says what it
+        refuses."""
+        arrays, meta = read_npz(path, ("graph",), GRAPH_FORMAT_VERSION,
+                                expected_vocab_hash)
+        meta["attr_entities"] = [tuple(key) for key in meta["attr_entities"]]
+        return cls(**meta, **arrays)
 
 
 def training_purchase_counts(events_per_user: dict[int, int]) -> dict[int, int]:

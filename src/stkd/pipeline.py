@@ -18,16 +18,14 @@ wall-clock timing split into training and prediction phases.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_npz, write_json, write_npz
 from .config import STREAM_SHUFFLE, TrainConfig, rng_for
-from .errors import (ConsistencyError, InvalidArgumentError, NumericsError,
-                     VocabMismatchError)
+from .errors import ConsistencyError, InvalidArgumentError, NumericsError
 from .graph import Stkg, Subgraph, sample_subgraph
 from .instrument import Counters
 from .metrics import MetricAccumulator, rank_of_target, sample_negatives
@@ -39,7 +37,7 @@ from .teacher import (TeacherParams, pretrain_step, teacher_forward,
                       teacher_optimizer, teacher_readout)
 from .tensor import CLAMP, Tensor
 
-SOFT_LABEL_FORMAT_VERSION = 1
+SOFT_LABEL_FORMAT_VERSION = 2
 FUSION_STRATEGIES = ("stkd", "add", "cat", "multi")
 ABLATION_VARIANTS = ("full", "no_kd", "no_sp", "no_sp_kd", "no_c", "no_f")
 
@@ -104,10 +102,7 @@ class MetricsReport:
         }
 
     def save(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True)
-                        + "\n", encoding="utf-8")
+        write_json(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
@@ -325,24 +320,15 @@ def compute_soft_labels(params: TeacherParams, provider: SubgraphProvider,
 
 def save_soft_labels(path, rows: np.ndarray, probs: np.ndarray,
                      vocab_hash: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, format_version=np.array(SOFT_LABEL_FORMAT_VERSION),
-             rows=rows, probs=probs, vocab_hash=np.array(vocab_hash))
+    write_npz(path, "soft_labels", SOFT_LABEL_FORMAT_VERSION,
+              {"rows": rows, "probs": probs}, {"vocab_hash": vocab_hash})
 
 
 def load_soft_labels(path, expected_vocab_hash: str | None = None):
-    with np.load(Path(path), allow_pickle=False) as z:
-        if "format_version" not in z or int(z["format_version"]) != \
-                SOFT_LABEL_FORMAT_VERSION:
-            raise ConsistencyError(f"{path}: unsupported soft-label cache")
-        rows, probs = z["rows"], z["probs"]
-        vocab_hash = str(z["vocab_hash"])
-    if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
-        raise VocabMismatchError(
-            f"{path}: soft labels built against vocabulary {vocab_hash[:12]}… "
-            f"but current data hashes to {expected_vocab_hash[:12]}…")
-    return rows, probs, vocab_hash
+    """Read a soft-label cache; returns ``(rows, probs, vocab_hash)``."""
+    arrays, meta = read_npz(path, ("soft_labels",), SOFT_LABEL_FORMAT_VERSION,
+                            expected_vocab_hash)
+    return arrays["rows"], arrays["probs"], meta["vocab_hash"]
 
 
 class TeacherSignal:

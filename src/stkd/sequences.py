@@ -9,17 +9,16 @@ non-pad position. Region and distance-bucket features ride along item-aligned.
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import read_json, read_npz, write_json, write_npz
 from .errors import ConsistencyError
 from .events import PurchaseEvent, Vocab
 from .geo import bucketize_distance, geohash6_centroid, spherical_distance
 
-DATASET_FORMAT_VERSION = 1
+DATASET_FORMAT_VERSION = 2
 
 SPLIT_TRAIN, SPLIT_VALID, SPLIT_TEST = 0, 1, 2
 SPLIT_NAMES = {"train": SPLIT_TRAIN, "valid": SPLIT_VALID, "test": SPLIT_TEST}
@@ -27,6 +26,9 @@ SPLIT_NAMES = {"train": SPLIT_TRAIN, "valid": SPLIT_VALID, "test": SPLIT_TEST}
 # Distance buckets are stored shifted by +1 inside sequence arrays so that 0
 # can mean padding, exactly like item and region ids.
 DIST_PAD_OFFSET = 1
+
+_ARRAYS = ("user", "items", "regions", "dists", "target", "split",
+           "purchased_indptr", "purchased_items")
 
 
 @dataclass
@@ -60,33 +62,18 @@ class SequenceDataset:
         """Stable per-sample identity used to key cached computations."""
         return int(row)
 
-    def save(self, path: str) -> None:
-        np.savez_compressed(
-            str(path) if str(path).endswith(".npz") else str(path) + ".npz",
-            format_version=np.int64(DATASET_FORMAT_VERSION),
-            n=np.int64(self.n),
-            user=self.user, items=self.items, regions=self.regions,
-            dists=self.dists, target=self.target, split=self.split,
-            purchased_indptr=self.purchased_indptr,
-            purchased_items=self.purchased_items,
-            n_skipped_users=np.int64(self.n_skipped_users),
-            vocab_hash=np.bytes_(self.vocab_hash.encode()))
+    def save(self, path) -> None:
+        write_npz(path, "dataset", DATASET_FORMAT_VERSION,
+                  {name: getattr(self, name) for name in _ARRAYS},
+                  {"n": self.n, "n_skipped_users": self.n_skipped_users,
+                   "vocab_hash": self.vocab_hash})
 
     @classmethod
-    def load(cls, path: str) -> "SequenceDataset":
-        with np.load(path) as z:
-            version = int(z["format_version"])
-            if version != DATASET_FORMAT_VERSION:
-                raise ConsistencyError(
-                    f"dataset cache version {version} != "
-                    f"supported {DATASET_FORMAT_VERSION}")
-            return cls(n=int(z["n"]), user=z["user"], items=z["items"],
-                       regions=z["regions"], dists=z["dists"],
-                       target=z["target"], split=z["split"],
-                       purchased_indptr=z["purchased_indptr"],
-                       purchased_items=z["purchased_items"],
-                       n_skipped_users=int(z["n_skipped_users"]),
-                       vocab_hash=bytes(z["vocab_hash"]).decode())
+    def load(cls, path, expected_vocab_hash: str | None = None
+             ) -> "SequenceDataset":
+        arrays, meta = read_npz(path, ("dataset",), DATASET_FORMAT_VERSION,
+                                expected_vocab_hash)
+        return cls(**meta, **arrays)
 
 
 def event_features(ev: PurchaseEvent, vocab: Vocab) -> tuple[int, int, int]:
@@ -186,11 +173,9 @@ def _check_dataset(ds: SequenceDataset) -> None:
         raise ConsistencyError("padding positions disagree across feature arrays")
 
 
-def save_vocab(vocab: Vocab, path: str) -> None:
-    with io.open(path, "w", encoding="utf-8") as fh:
-        json.dump(vocab.to_dict(), fh, sort_keys=True)
+def save_vocab(vocab: Vocab, path) -> None:
+    write_json(path, vocab.to_dict(), indent=None)
 
 
-def load_vocab(path: str) -> Vocab:
-    with io.open(path, "r", encoding="utf-8") as fh:
-        return Vocab.from_dict(json.load(fh))
+def load_vocab(path) -> Vocab:
+    return Vocab.from_dict(read_json(path))

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_lines
 from .config import STREAM_SYNTH, rng_for
 from .errors import ConfigError
 from .geo import encode_geohash
@@ -205,6 +206,5 @@ def generate_synthetic(cfg: SyntheticConfig):
 def write_synthetic(cfg: SyntheticConfig, path: str) -> int:
     """Generate and write the event log; returns the number of events."""
     lines = generate_synthetic(cfg)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    write_lines(path, lines)
     return len(lines)

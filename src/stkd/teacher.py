@@ -198,7 +198,7 @@ def teacher_readout(subgraphs: list[Subgraph], params: TeacherParams,
 
 def teacher_forward(subgraphs: list[Subgraph], params: TeacherParams,
                     counters: Counters | None = None):
-    """Full pipeline; returns (probs (b, |V|+1), logits-for-kd (b, |V|+1))."""
+    """Full pipeline; returns the soft-label probabilities (b, |V|+1)."""
     H_x, H_u, real = gnn_forward(subgraphs, params, counters)
     H_gated = user_gate(H_x, H_u, params)
     probs, _ = soft_labels(H_gated, params, real)

@@ -139,3 +139,46 @@ def test_vocab_hash_guard(workspace, capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2
     assert "vocabulary" in captured.err
+
+
+@pytest.mark.parametrize("command, key, name", [
+    ("pretrain", "graph_path", "graph.npz"),
+    ("distill", "dataset_path", "dataset.npz")])
+def test_foreign_prepared_artifact_refused(workspace, capsys, tmp_path,
+                                          command, key, name):
+    """A graph or dataset built from another corpus is refused, because it
+    is bound to that corpus's vocabulary."""
+    root, out, synth, train = workspace
+    other = tmp_path / "other"
+    run(capsys, "gen-synth", "--config", synth, "--seed", "7",
+        "--out-dir", str(other))
+    run(capsys, "prepare", "--config", train, "--out-dir", str(other))
+    run(capsys, "build-graph", "--config", train, "--out-dir", str(other))
+    cfg = json.loads((root / "train.json").read_text())
+    cfg[key] = str(other / name)
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(cfg), encoding="utf-8")
+    code = main([command, "--config", str(mixed)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "vocabulary" in captured.err
+
+
+def test_malformed_train_config_reports_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"epochs": 2, "n": ', encoding="utf-8")
+    code = main(["prepare", "--config", str(bad),
+                 "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and "malformed JSON" in captured.err
+
+
+def test_unknown_synthetic_config_key_reports_error(tmp_path, capsys):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"n_userz": 10}), encoding="utf-8")
+    code = main(["gen-synth", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and "n_userz" in captured.err

@@ -176,44 +176,6 @@ def test_graph_round_trips_through_file(tmp_path):
     assert back.vocab_hash == g.vocab_hash
 
 
-def test_graph_file_version_checked(tmp_path):
-    g, _, _ = build([line()])
-    path = str(tmp_path / "graph.npz")
-    g.save(path)
-    with np.load(path, allow_pickle=False) as z:
-        payload = dict(z)
-    payload["format_version"] = np.int64(42)
-    np.savez_compressed(path, **payload)
-    with pytest.raises(ConsistencyError, match="42"):
-        Stkg.load(path)
-
-
-def test_object_array_graph_file_refused(tmp_path):
-    g, _, _ = build([line(category="c1")])
-    path = str(tmp_path / "graph.npz")
-    g.save(path)
-    with np.load(path, allow_pickle=False) as z:
-        payload = dict(z)
-    # a version-2 file whose strings need pickle to load
-    payload["relations"] = np.array(g.relations, dtype=object)
-    np.savez_compressed(path, **payload)
-    with pytest.raises(ConsistencyError, match="unreadable"):
-        Stkg.load(path)
-    # a version-2 file with an entry missing
-    np.savez_compressed(path, **{k: v for k, v in payload.items()
-                                 if k != "relations"})
-    with pytest.raises(ConsistencyError, match="unreadable"):
-        Stkg.load(path)
-    # a version-1 file (its strings were object arrays) is refused by version
-    payload = {k: v for k, v in payload.items()
-               if k not in ("attr_fields", "attr_values")}
-    payload["format_version"] = np.int64(1)
-    payload["attr_entities"] = np.array(["category\x00c1"], dtype=object)
-    np.savez_compressed(path, **payload)
-    with pytest.raises(ConsistencyError, match="version 1"):
-        Stkg.load(path)
-
-
 # ---------------------------------------------------------------------------
 # subgraph sampling
 # ---------------------------------------------------------------------------

@@ -3,9 +3,7 @@
 import json
 
 import numpy as np
-import pytest
 
-from stkd.errors import ConsistencyError
 from stkd.events import ingest_events
 from stkd.geo import bucketize_distance, geohash6_centroid, spherical_distance
 from stkd.sequences import (DIST_PAD_OFFSET, SPLIT_TEST, SPLIT_TRAIN,
@@ -145,19 +143,6 @@ def test_dataset_cache_round_trip(tmp_path):
     for f in ("user", "items", "regions", "dists", "target", "split",
               "purchased_indptr", "purchased_items"):
         np.testing.assert_array_equal(getattr(back, f), getattr(ds, f))
-
-
-def test_dataset_cache_rejects_unknown_version(tmp_path):
-    rows = [("u", f"i{k}", k + 1, REGION_A, REGION_A) for k in range(4)]
-    ds, _ = dataset(rows)
-    path = str(tmp_path / "cache.npz")
-    ds.save(path)
-    with np.load(path) as z:
-        payload = dict(z)
-    payload["format_version"] = np.int64(999)
-    np.savez_compressed(path, **payload)
-    with pytest.raises(ConsistencyError, match="999"):
-        SequenceDataset.load(path)
 
 
 def test_vocab_json_round_trip(tmp_path):

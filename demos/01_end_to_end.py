@@ -64,7 +64,7 @@ print(f"teacher: best val NDCG@10 {teacher.best_metric:.3f} at epoch "
 # bucket) embeddings; its objective blends cross-entropy on the true next
 # item with KL against the teacher's softened distribution.
 rows, probs = compute_soft_labels(teacher.params, provider, dataset)
-signal = TeacherSignal(cached=(rows, probs))
+signal = TeacherSignal(rows, probs)
 student = distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
                   signal=signal)
 print(f"student: best val NDCG@10 {student.best_metric:.3f} at epoch "

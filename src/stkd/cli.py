@@ -11,7 +11,9 @@ outputs without extra plumbing:
     graph.npz               spatial-temporal knowledge graph (CSR)
     graph_stats.json        graph composition and degree histogram
     teacher.npz             pre-trained graph-teacher checkpoint
-    soft_labels.npz         cached teacher distributions for training rows
+    soft_labels.npz         teacher distributions for every training row;
+                            ``pretrain`` always writes it and ``distill``
+                            with knowledge distillation needs it
     pretrain_report.json    teacher training summary and counters
     student.npz             distilled student checkpoint
     distill_report.json     student training summary and loss trace
@@ -34,7 +36,7 @@ import sys
 from pathlib import Path
 
 from .artifacts import read_json, write_json
-from .checkpoint import load_student, load_teacher, save_checkpoint
+from .checkpoint import load_student, save_checkpoint
 from .config import TrainConfig, config_from_dict
 from .errors import ConfigError, StkdError
 from .events import ingest_events
@@ -156,11 +158,10 @@ def cmd_pretrain(args) -> int:
                               vocab.n_takeaways, counters, provider)
     save_checkpoint(out / "teacher.npz", result.params,
                     result.params.build_config(), vocab.content_hash())
-    if cfg.cache_soft_labels:
-        rows, probs = compute_soft_labels(result.params, provider, dataset,
-                                          counters=counters)
-        save_soft_labels(out / "soft_labels.npz", rows, probs,
-                         vocab.content_hash())
+    rows, probs = compute_soft_labels(result.params, provider, dataset,
+                                      counters=counters)
+    save_soft_labels(out / "soft_labels.npz", rows, probs,
+                     vocab.content_hash())
     report = {"best_ndcg10": result.best_metric, "best_epoch": result.best_epoch,
               "epochs_run": result.epochs_run, "aborted": result.aborted,
               "train_seconds": result.train_seconds,
@@ -179,16 +180,9 @@ def cmd_distill(args) -> int:
     variant = args.variant or "full"
     signal = None
     if cfg.alpha > 0.0 and variant not in ("no_kd", "no_sp_kd"):
-        cache_path = out / "soft_labels.npz"
-        if cfg.cache_soft_labels and cache_path.exists():
-            rows, probs, _ = load_soft_labels(cache_path, vocab.content_hash())
-            signal = TeacherSignal(cached=(rows, probs))
-        else:
-            teacher, _, _ = load_teacher(out / "teacher.npz",
-                                         vocab.content_hash())
-            stkg = Stkg.load(_graph_path(cfg), vocab.content_hash())
-            provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed)
-            signal = TeacherSignal(teacher=teacher, provider=provider)
+        rows, probs, _ = load_soft_labels(out / "soft_labels.npz",
+                                          vocab.content_hash())
+        signal = TeacherSignal(rows, probs)
     result = distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
                      signal=signal, variant=variant)
     save_checkpoint(out / "student.npz", result.params,

@@ -89,7 +89,6 @@ class TrainConfig:
     out_dir: str = "out"
     k_list: tuple[int, ...] = (5, 10, 20)
     n_negatives: int = 100
-    cache_soft_labels: bool = True
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "n", "d", "heads", "layers", "gnn_layers",
@@ -119,10 +118,26 @@ class TrainConfig:
         return config_from_dict(cls, data)
 
 
+# The value types a config field accepts, keyed by the type of its default.
+_ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float),
+                   str: (str,), tuple: (list, tuple), list: (list, tuple)}
+
+
 def config_from_dict(cls, data: dict):
-    """Build the config dataclass ``cls`` from ``data``; unknown keys raise
-    ConfigError."""
-    unknown = set(data) - set(cls.__dataclass_fields__)
+    """Build the config dataclass ``cls`` from ``data``.
+
+    An unknown key, or a value whose type the field's default does not
+    accept (a bool is no number), raises ConfigError.
+    """
+    defaults = vars(cls())
+    unknown = set(data) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        kind = type(defaults[key])
+        accepted = _ACCEPTED_TYPES[kind]
+        if (not isinstance(value, accepted)
+                or (isinstance(value, bool) and bool not in accepted)):
+            raise ConfigError(
+                f"config key {key!r} takes a {kind.__name__}, got {value!r}")
     return cls(**data)

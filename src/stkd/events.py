@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DataQualityError
+from .errors import ConsistencyError, DataQualityError
 from .geo import is_valid_geohash6
 
 REQUIRED_FIELDS = ("user_id", "takeaway_id", "timestamp",
@@ -93,6 +93,12 @@ class Vocab:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Vocab":
+        """Inverse of ``to_dict``; a missing or non-object id map raises
+        ConsistencyError."""
+        for name in ("users", "takeaways", "regions", "attributes"):
+            if not isinstance(d.get(name), dict):
+                raise ConsistencyError(
+                    f"vocabulary lacks the {name!r} id map")
         v = cls()
         v.users = {str(k): int(i) for k, i in d["users"].items()}
         v.takeaways = {str(k): int(i) for k, i in d["takeaways"].items()}

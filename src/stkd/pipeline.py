@@ -1,14 +1,14 @@
 """Two-stage training pipeline, ranked evaluation, ablations, and sweeps.
 
 Stage one pre-trains the graph teacher on the spatial-temporal knowledge
-graph and (optionally) caches its soft labels for every training sample.
-Stage two trains the sequence student on the joint objective
+graph and caches its soft labels for every training sample.  Stage two
+trains the sequence student on the joint objective
 
     loss = alpha * kd_loss + (1 - alpha) * rec_loss,
 
-where the teacher signal enters either through cached soft labels or a
-live teacher forward — the two paths produce the same loss trace because
-the per-sample subgraphs are deterministic.  Both stages run the one epoch
+where the teacher enters only through that soft-label cache
+(``TeacherSignal``) and both losses take logits through one masked
+``log_softmax``.  Both stages run the one epoch
 loop ``_fit`` (seeded shuffle, divergence abort, early stopping on
 validation NDCG@10, best-snapshot restore) and differ only in the step and
 validation closures they hand it.  Evaluation ranks each user's
@@ -332,42 +332,26 @@ def load_soft_labels(path, expected_vocab_hash: str | None = None):
 
 
 class TeacherSignal:
-    """Uniform source of per-row teacher logits for distillation.
+    """Per-row teacher logits for distillation, read from the soft-label
+    cache ``(rows, probs)`` that ``compute_soft_labels`` returns.
 
-    Cached probabilities and a live teacher agree because logits are taken
-    as log of the soft-label distribution in both cases (softmax is
-    invariant to the shared log-normalizer).
+    The logits are the log of the cached probabilities: softmax is invariant
+    to the shared log-normalizer, so they give back the teacher's
+    distribution.  Probabilities are floored at CLAMP first, so the padding
+    column (probability 0, masked out of the KD loss) stays finite.
     """
 
-    def __init__(self, cached: tuple[np.ndarray, np.ndarray] | None = None,
-                 teacher: TeacherParams | None = None,
-                 provider: SubgraphProvider | None = None,
-                 counters: Counters | None = None):
-        if cached is None and teacher is None:
-            raise InvalidArgumentError(
-                "distillation needs a soft-label cache or a live teacher")
-        self._index: dict[int, int] = {}
-        self._probs: np.ndarray | None = None
-        if cached is not None:
-            rows, probs = cached
-            self._index = {int(r): i for i, r in enumerate(rows)}
-            self._probs = probs
-        self.teacher = teacher
-        self.provider = provider
-        self.counters = counters
+    def __init__(self, rows: np.ndarray, probs: np.ndarray):
+        self._index = {int(r): i for i, r in enumerate(rows)}
+        self._probs = probs
 
     def logits(self, rows: np.ndarray) -> np.ndarray:
-        if self._probs is not None:
-            try:
-                idx = [self._index[int(r)] for r in rows]
-            except KeyError as exc:
-                raise ConsistencyError(
-                    f"row {exc.args[0]} missing from the soft-label cache")
-            probs = self._probs[idx]
-        else:
-            probs = teacher_forward(self.provider.batch(rows), self.teacher,
-                                    self.counters).data
-        return np.log(np.maximum(probs, CLAMP))
+        try:
+            idx = [self._index[int(r)] for r in rows]
+        except KeyError as exc:
+            raise ConsistencyError(
+                f"row {exc.args[0]} missing from the soft-label cache")
+        return np.log(np.maximum(self._probs[idx], CLAMP))
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +443,11 @@ def distill(cfg: TrainConfig, dataset: SequenceDataset, n_takeaways: int,
             fused = fusion_readout(batch)
             if isinstance(fused, Tensor):
                 fused = Tensor(fused.data)   # frozen teacher features
-        probs, logits = predict_scores(
+        _, logits = predict_scores(
             dataset.items[batch], dataset.regions[batch],
             dataset.dists[batch], params, train=True, seed=cfg.seed,
             step=i, fused=fused, fusion=fusion)
-        rec = rec_loss(probs, dataset.target[batch])
+        rec = rec_loss(logits, dataset.target[batch])
         if alpha > 0.0:
             kd = kd_loss(signal.logits(batch), logits, cfg.temperature)
         else:
@@ -534,14 +518,9 @@ def _teacher_and_signal(cfg: TrainConfig, dataset: SequenceDataset,
     provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed, counters)
     result = pretrain_teacher(cfg, dataset, stkg, n_users, n_takeaways,
                               counters, provider)
-    if cfg.cache_soft_labels:
-        rows, probs = compute_soft_labels(result.params, provider, dataset,
-                                          counters=counters)
-        signal = TeacherSignal(cached=(rows, probs))
-    else:
-        signal = TeacherSignal(teacher=result.params, provider=provider,
-                               counters=counters)
-    return result, provider, signal
+    rows, probs = compute_soft_labels(result.params, provider, dataset,
+                                      counters=counters)
+    return result, provider, TeacherSignal(rows, probs)
 
 
 def ablate(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,

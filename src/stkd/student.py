@@ -206,12 +206,15 @@ def predict_scores(x, x_c, x_f, params: StudentParams, train: bool = False,
     return score_items(h_star, params)
 
 
+def _item_columns(width: int) -> np.ndarray:
+    """Mask over the dense id columns 0..|V| that leaves out the padding id 0."""
+    return np.arange(width) > 0
+
+
 def score_items(h_star: Tensor, params: StudentParams) -> tuple[Tensor, Tensor]:
     """Score an anchor row against the tied item table; pad column masked."""
     logits = h_star @ T.swapaxes(params.item_emb, 0, 1)   # (b, |V|+1)
-    valid = np.ones(logits.data.shape, dtype=bool)
-    valid[:, 0] = False
-    probs = T.masked_softmax(logits, valid)
+    probs = T.masked_softmax(logits, _item_columns(logits.data.shape[-1]))
     return probs, logits
 
 
@@ -219,42 +222,39 @@ def kd_loss(teacher_logits, student_logits: Tensor, temperature: float) -> Tenso
     """KL(softmax(teacher/t) || softmax(student/t)) * t^2, teacher constant.
 
     Both logit sets cover dense ids 0..|V| and the padding column 0 is masked
-    out of both softmaxes. Accepts (|V|+1,) vectors or (b, |V|+1) batches;
-    batches are averaged.
+    out of both distributions; both go through ``log_softmax``, so the loss
+    and its gradient stay exact however far apart the two models are.
+    Accepts (|V|+1,) vectors or (b, |V|+1) batches; batches are averaged.
     """
-    if temperature <= 0:
-        raise InvalidArgumentError(
-            f"temperature must be positive, got {temperature}")
     t_arr = teacher_logits.data if isinstance(teacher_logits, Tensor) \
         else np.asarray(teacher_logits, dtype=student_logits.data.dtype)
     if t_arr.shape != student_logits.data.shape:
         raise InvalidArgumentError(
             f"logit shape mismatch: {t_arr.shape} vs "
             f"{student_logits.data.shape}")
-    squeeze = t_arr.ndim == 1
-    if squeeze:
+    if t_arr.ndim == 1:
         t_arr = t_arr[None, :]
         student_logits = T.reshape(student_logits, (1, -1))
-    valid = np.ones(t_arr.shape, dtype=bool)
-    valid[:, 0] = False
-    p = T.masked_softmax(Tensor(t_arr), valid, temperature=temperature).data
-    q = T.masked_softmax(student_logits, valid, temperature=temperature)
-    # KL restricted to the unmasked support; p and q are exactly 0 on pads
-    p_logp = np.sum(np.where(p > 0, p * np.log(np.maximum(p, T.CLAMP)), 0.0))
-    cross = T.tsum(Tensor(p) * T.log(q))
-    n_rows = t_arr.shape[0]
-    return T.mul(T.div(T.sub(float(p_logp), cross), float(n_rows)),
-                 temperature ** 2)
+    valid = _item_columns(t_arr.shape[-1])
+    log_p = T.log_softmax(Tensor(t_arr), valid, temperature).data
+    log_q = T.log_softmax(student_logits, valid, temperature)
+    p = np.exp(log_p)
+    # sum p (log p - log q) as a constant minus the one term on the tape; the
+    # pad column has log p = log q = 0, so it adds nothing to either sum
+    kl = float(np.sum(p * log_p)) - T.tsum(Tensor(p) * log_q)
+    return kl * (temperature ** 2 / t_arr.shape[0])
 
 
-def rec_loss(probs: Tensor, targets) -> Tensor:
-    """Mean cross-entropy of the predicted distribution against dense targets."""
+def rec_loss(logits: Tensor, targets) -> Tensor:
+    """Mean cross-entropy of softmax(logits), pad column masked, against
+    dense targets."""
     targets = np.atleast_1d(np.asarray(targets))
     if np.any(targets == 0):
         raise InvalidArgumentError("target is the padding id 0")
-    if probs.data.ndim == 1:
-        probs = T.reshape(probs, (1, -1))
-    return T.batch_cross_entropy(probs, targets)
+    if logits.data.ndim == 1:
+        logits = T.reshape(logits, (1, -1))
+    log_probs = T.log_softmax(logits, _item_columns(logits.data.shape[-1]))
+    return T.batch_cross_entropy(log_probs, targets)
 
 
 def joint_loss(kd: Tensor | float, rec: Tensor | float, alpha: float) -> Tensor:

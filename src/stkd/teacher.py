@@ -8,7 +8,8 @@ h' = relu(concat(m, h) @ W + b). Nodes without sampled children use m = 0.
 A gate sigma(H_x W1 + W2 H_u^T) modulates each sequence position by the user
 representation, additive attention pools positions into one row r, and
 soft labels are softmax(r E_V^T) over the takeaway vocabulary with the padding
-column pinned to probability zero.
+column pinned to probability zero.  Pre-training takes its cross-entropy from
+the same logits through ``log_softmax``.
 """
 
 from __future__ import annotations
@@ -170,6 +171,15 @@ def attention_readout(H_gated: Tensor, params: TeacherParams,
     return r, att
 
 
+def _vocab_logits(r: Tensor, params: TeacherParams):
+    """r E_V^T behind a constant padding column 0: returns (logits
+    (b, |V|+1), the column mask that leaves the padding column out)."""
+    logits = r @ T.swapaxes(params.item_rows(), 0, 1)        # (b, |V|)
+    b = logits.data.shape[0]
+    full = T.concat([Tensor(np.zeros((b, 1))), logits], axis=1)
+    return full, np.arange(params.n_takeaways + 1) > 0
+
+
 def soft_labels(H_gated: Tensor, params: TeacherParams,
                 pad_mask: np.ndarray) -> tuple[Tensor, Tensor]:
     """Attention-pool positions and score the takeaway vocabulary.
@@ -178,18 +188,15 @@ def soft_labels(H_gated: Tensor, params: TeacherParams,
     Raises InvalidSampleError if any sample has no real position.
     """
     r, att = attention_readout(H_gated, params, pad_mask)
-    logits = r @ T.swapaxes(params.item_rows(), 0, 1)        # (b, |V|)
-    b = logits.data.shape[0]
-    full = T.concat([Tensor(np.zeros((b, 1))), logits], axis=1)
-    valid = np.ones((b, params.n_takeaways + 1), dtype=bool)
-    valid[:, 0] = False
-    probs = T.masked_softmax(full, valid)
+    logits, valid = _vocab_logits(r, params)
+    probs = T.masked_softmax(logits, valid)
     return probs, att
 
 
 def teacher_readout(subgraphs: list[Subgraph], params: TeacherParams,
                     counters: Counters | None = None) -> Tensor:
-    """Pooled graph representation r (b, d) for feature-fusion strategies."""
+    """Pooled graph representation r (b, d), which pre-training scores and
+    the feature-fusion strategies merge into the student."""
     H_x, H_u, real = gnn_forward(subgraphs, params, counters)
     H_gated = user_gate(H_x, H_u, params)
     r, _ = attention_readout(H_gated, params, real)
@@ -205,15 +212,24 @@ def teacher_forward(subgraphs: list[Subgraph], params: TeacherParams,
     return probs
 
 
-def pretrain_step(subgraphs: list[Subgraph], targets: np.ndarray,
-                  params: TeacherParams, opt: Adam,
-                  counters: Counters | None = None) -> float:
-    """One optimization step of mean cross-entropy against one-hot targets."""
+def pretrain_loss(subgraphs: list[Subgraph], targets: np.ndarray,
+                  params: TeacherParams,
+                  counters: Counters | None = None) -> Tensor:
+    """Mean cross-entropy of the vocabulary logits against one-hot targets,
+    taken in log space through ``log_softmax``."""
     targets = np.asarray(targets)
     if np.any(targets == 0):
         raise InvalidSampleError("pretraining target is the padding id 0")
-    probs = teacher_forward(subgraphs, params, counters)
-    loss = T.batch_cross_entropy(probs, targets)
+    r = teacher_readout(subgraphs, params, counters)
+    logits, valid = _vocab_logits(r, params)
+    return T.batch_cross_entropy(T.log_softmax(logits, valid), targets)
+
+
+def pretrain_step(subgraphs: list[Subgraph], targets: np.ndarray,
+                  params: TeacherParams, opt: Adam,
+                  counters: Counters | None = None) -> float:
+    """One optimization step of ``pretrain_loss``."""
+    loss = pretrain_loss(subgraphs, targets, params, counters)
     opt.zero_grad()
     loss.backward()
     opt.step()

@@ -13,7 +13,8 @@ import numpy as np
 from . import config
 from .errors import InvalidArgumentError, NumericsError
 
-# Single documented stability policy: floor for logs and divisions.
+# Floor for a softmax normalizer (a row with no valid entry sums to 0) and
+# for probabilities whose log must stay finite.
 CLAMP = 1e-12
 
 
@@ -222,18 +223,6 @@ def tanh(a) -> Tensor:
     return _link(out, (a,), backward, "tanh")
 
 
-def log(a) -> Tensor:
-    """Natural log with inputs floored at CLAMP; clamped entries get zero grad."""
-    a = as_tensor(a)
-    clamped = np.maximum(a.data, CLAMP)
-    out = Tensor(np.log(clamped))
-
-    def backward(g):
-        _accum(a, np.where(a.data > CLAMP, g / clamped, 0.0))
-
-    return _link(out, (a,), backward, "log")
-
-
 # ---------------------------------------------------------------------------
 # linear algebra / shape
 # ---------------------------------------------------------------------------
@@ -400,23 +389,20 @@ def segment_sum(x, segments, num_segments: int) -> Tensor:
 # softmax family and losses
 # ---------------------------------------------------------------------------
 
-def masked_softmax(scores, valid=None, temperature: float = 1.0, axis: int = -1) -> Tensor:
+def masked_softmax(scores, valid=None, axis: int = -1) -> Tensor:
     """Numerically stable softmax with optional boolean mask.
 
     Masked entries get probability exactly 0; rows with no valid entry come
-    out all-zero. Temperature divides the inputs before exponentiation.
+    out all-zero.
     """
-    if temperature <= 0:
-        raise InvalidArgumentError(f"temperature must be positive, got {temperature}")
     scores = as_tensor(scores)
     if scores.data.shape[axis] == 0:
         raise InvalidArgumentError("softmax over an empty axis")
-    z = scores.data / temperature
     if valid is None:
         vmask = np.ones(scores.data.shape, dtype=bool)
     else:
         vmask = np.broadcast_to(np.asarray(valid, dtype=bool), scores.data.shape)
-    neg = np.where(vmask, z, -np.inf)
+    neg = np.where(vmask, scores.data, -np.inf)
     m = neg.max(axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     e = np.where(vmask, np.exp(neg - m), 0.0)
@@ -426,15 +412,49 @@ def masked_softmax(scores, valid=None, temperature: float = 1.0, axis: int = -1)
 
     def backward(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
-        _accum(scores, y * (g - inner) / temperature)
+        _accum(scores, y * (g - inner))
 
     return _link(out, (scores,), backward, "softmax")
 
 
-def batch_cross_entropy(probs, targets) -> Tensor:
-    """Mean of -log(probs[i, targets[i]] + CLAMP) over a batch."""
-    picked = take_at(probs, np.asarray(targets))
-    return -tmean(log(picked))
+def log_softmax(scores, valid, temperature: float = 1.0) -> Tensor:
+    """log(softmax(scores / temperature)) over the last axis, in log space.
+
+    The valid entries are shifted by their maximum and normalized by one log
+    of the summed exponentials, so the result stays exact where the
+    probabilities themselves underflow.  ``valid`` is a boolean mask that
+    broadcasts to ``scores``; masked entries come out 0 and get no gradient,
+    and every row needs at least one valid entry.
+    """
+    if temperature <= 0:
+        raise InvalidArgumentError(f"temperature must be positive, got {temperature}")
+    scores = as_tensor(scores)
+    vmask = np.broadcast_to(np.asarray(valid, dtype=bool), scores.data.shape)
+    if not vmask.any(axis=-1).all():      # an empty axis included
+        raise InvalidArgumentError("log_softmax over a row with no valid entry")
+    # one fresh array, updated in place: full-width temporaries cost more
+    # than the arithmetic at vocabulary width
+    y = np.where(vmask, scores.data, -np.inf)
+    y /= temperature
+    y -= y.max(axis=-1, keepdims=True)
+    e = np.exp(y)
+    total = e.sum(axis=-1, keepdims=True)
+    y -= np.log(total)
+    np.copyto(y, 0.0, where=~vmask)
+    out = Tensor(y)
+
+    def backward(g):
+        g = np.where(vmask, g, 0.0)
+        g -= e * (g.sum(axis=-1, keepdims=True) / total)
+        g /= temperature
+        _accum(scores, g)
+
+    return _link(out, (scores,), backward, "log_softmax")
+
+
+def batch_cross_entropy(log_probs, targets) -> Tensor:
+    """Mean of -log_probs[i, targets[i]] over a batch."""
+    return -tmean(take_at(log_probs, np.asarray(targets)))
 
 
 # ---------------------------------------------------------------------------

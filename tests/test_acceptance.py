@@ -24,7 +24,7 @@ from stkd.sequences import build_sequences
 from stkd.student import (StudentParams, joint_loss, kd_loss, predict_scores,
                           rec_loss)
 from stkd.synthetic import SyntheticConfig, generate_synthetic
-from stkd.teacher import (TeacherParams, pretrain_step, teacher_forward,
+from stkd.teacher import (TeacherParams, pretrain_loss, pretrain_step,
                           teacher_optimizer)
 from stkd.tensor import Tensor
 
@@ -74,7 +74,10 @@ def _primitive_cases():
     case("relu", lambda p: T.tsum(T.relu(p["a"] + 0.1) * w), a=t(3, 4))
     case("sigmoid", lambda p: T.tsum(T.sigmoid(p["a"]) * w), a=t(3, 4))
     case("tanh", lambda p: T.tsum(T.tanh(p["a"]) * w), a=t(3, 4))
-    case("log", lambda p: T.tsum(T.log(p["a"]) * w), a=t(3, 4, positive=True))
+    valid = np.array([[True, True, False, True], [True, True, True, True],
+                      [False, True, True, True]])
+    case("log_softmax", lambda p: T.tsum(
+        T.log_softmax(p["a"], valid, temperature=2.5) * w), a=t(3, 4))
     case("matmul", lambda p: T.tsum(p["a"] @ p["b"]), a=t(3, 5), b=t(5, 4))
     case("batched-matmul", lambda p: T.tsum(p["a"] @ p["b"]),
          a=t(2, 3, 5), b=t(2, 5, 4))
@@ -105,12 +108,11 @@ def _primitive_cases():
     case("segment_sum", lambda p: T.tsum(
         T.segment_sum(p["a"], np.array([0, 1, 0, 2]), 3) *
         Tensor(np.arange(12.0).reshape(3, 4))), a=t(4, 4))
-    valid = np.array([[True, True, False, True], [True, True, True, True]])
     case("masked_softmax", lambda p: T.tsum(
-        T.masked_softmax(p["a"], valid, temperature=2.5) *
+        T.masked_softmax(p["a"], valid[:2]) *
         Tensor(np.arange(8.0).reshape(2, 4))), a=t(2, 4))
     case("batch_cross_entropy", lambda p: T.batch_cross_entropy(
-        T.masked_softmax(p["a"]), np.array([1, 3])), a=t(2, 5))
+        T.log_softmax(p["a"], True), np.array([1, 3])), a=t(2, 5))
     case("layer_norm", lambda p: T.tsum(
         T.layer_norm(p["a"], p["g"], p["b2"]) * w),
         a=t(3, 4), g=t(4,), b2=t(4,))
@@ -143,8 +145,7 @@ def test_criterion_1_gradient_suite(capsys):
     target = np.array([2])
 
     def teacher_loss(_p):
-        probs = teacher_forward([sg], tparams)
-        return T.batch_cross_entropy(probs, target)
+        return pretrain_loss([sg], target, tparams)
 
     teacher_report = finite_diff_check(teacher_loss, tparams.as_dict(),
                                        rel_tol=1e-4, max_coords=4,
@@ -165,9 +166,9 @@ def test_criterion_1_gradient_suite(capsys):
     teacher_logits = rng.standard_normal((2, 7))
 
     def student_loss(_p):
-        probs, logits = predict_scores(x, x_c, x_f, sparams)
+        _, logits = predict_scores(x, x_c, x_f, sparams)
         return joint_loss(kd_loss(teacher_logits, logits, 3.0),
-                          rec_loss(probs, targets), 0.2)
+                          rec_loss(logits, targets), 0.2)
 
     student_report = finite_diff_check(student_loss, sparams.as_dict(),
                                        rel_tol=1e-4, max_coords=4,
@@ -236,9 +237,9 @@ def test_criterion_3_loss_endpoints(capsys):
     x = np.array([[0, 1, 2, 3]])
     zc = np.zeros((1, 4), dtype=int)
     teacher_logits = np.random.default_rng(2).standard_normal((1, 7))
-    probs, logits = predict_scores(x, zc, zc, sparams)
+    _, logits = predict_scores(x, zc, zc, sparams)
     loss = joint_loss(kd_loss(teacher_logits, logits, 3.0),
-                      rec_loss(probs, np.array([5])), 1.0)
+                      rec_loss(logits, np.array([5])), 1.0)
     loss.backward()
     joint_grads = {k: (v.grad.copy() if v.grad is not None else None)
                    for k, v in sparams.as_dict().items()}
@@ -384,8 +385,8 @@ def test_criterion_6_memorization(capsys):
                freeze_rows=sparams.pad_frozen_rows())
     hr1, student_epochs = 0.0, 0
     for epoch in range(500):
-        probs, _ = predict_scores(x, x_c, x_f, sparams)
-        loss = rec_loss(probs, targets)
+        probs, logits = predict_scores(x, x_c, x_f, sparams)
+        loss = rec_loss(logits, targets)
         opt.zero_grad()
         loss.backward()
         opt.step()
@@ -461,7 +462,7 @@ def test_criterion_8_determinism(capsys):
     rows, probs = compute_soft_labels(teacher.params, provider, dataset)
 
     def one_run():
-        signal = TeacherSignal(cached=(rows, probs))
+        signal = TeacherSignal(rows, probs)
         result = distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
                          signal=signal, variant="full")
         report = evaluate(result.params, dataset, cfg, split="test",

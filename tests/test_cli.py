@@ -182,3 +182,55 @@ def test_unknown_synthetic_config_key_reports_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and "n_userz" in captured.err
+
+
+def _copy_of_workspace(out, dest):
+    """A private copy of the chained artifacts, for tests that damage one."""
+    dest.mkdir()
+    for path in out.iterdir():
+        if path.is_file():
+            (dest / path.name).write_bytes(path.read_bytes())
+    return dest
+
+
+def test_distill_with_kd_needs_soft_labels(workspace, capsys, tmp_path):
+    """The soft-label cache is the only route from the teacher to the
+    student: without it, distillation with alpha > 0 stops."""
+    root, out, synth, train = workspace
+    alt = _copy_of_workspace(out, tmp_path / "alt")
+    (alt / "soft_labels.npz").unlink()
+    (alt / "student.npz").unlink()
+    code = main(["distill", "--config", train, "--out-dir", str(alt)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert "missing input file" in captured.err
+    assert not (alt / "student.npz").exists()
+
+
+@pytest.mark.parametrize("command, values", [
+    ("prepare", {"epochs": "2"}),
+    ("gen-synth", {"n_users": "5"}),
+    ("prepare", {"cache_soft_labels": False})])
+def test_bad_config_entry_reports_error(tmp_path, capsys, command, values):
+    """A wrongly typed value or an unknown key in a config file exits 2 and
+    names the key."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(values), encoding="utf-8")
+    code = main([command, "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert next(iter(values)) in captured.err
+
+
+def test_vocab_without_id_maps_reports_error(workspace, capsys, tmp_path):
+    root, out, synth, train = workspace
+    alt = _copy_of_workspace(out, tmp_path / "alt")
+    (alt / "vocab.json").write_text(json.dumps({"users": {}}),
+                                    encoding="utf-8")
+    code = main(["build-graph", "--config", train, "--out-dir", str(alt)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and "takeaways" in captured.err

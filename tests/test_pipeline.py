@@ -167,32 +167,15 @@ def test_soft_label_cache_round_trip(pretrained, world, tmp_path):
         load_soft_labels(path, "0" * 64)
 
 
-def test_teacher_signal_cached_equals_live(pretrained, world):
-    result, prov, _ = pretrained
-    dataset, _, _ = world
-    rows = dataset.rows("train")[:12]
-    cached_rows, probs = compute_soft_labels(result.params, prov, dataset,
-                                             rows=rows)
-    sig_cached = TeacherSignal(cached=(cached_rows, probs))
-    sig_live = TeacherSignal(teacher=result.params, provider=prov)
-    np.testing.assert_array_equal(sig_cached.logits(rows),
-                                  sig_live.logits(rows))
-
-
 def test_teacher_signal_missing_row_raises(pretrained, world):
     result, prov, _ = pretrained
     dataset, _, _ = world
     rows = dataset.rows("train")[:4]
     cached_rows, probs = compute_soft_labels(result.params, prov, dataset,
                                              rows=rows)
-    sig = TeacherSignal(cached=(cached_rows, probs))
+    sig = TeacherSignal(cached_rows, probs)
     with pytest.raises(ConsistencyError):
         sig.logits(np.array([10 ** 6]))
-
-
-def test_teacher_signal_needs_a_source():
-    with pytest.raises(InvalidArgumentError):
-        TeacherSignal()
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +204,7 @@ def test_distill_with_kd_uses_teacher(pretrained, world):
     result, prov, _ = pretrained
     dataset, _, vocab = world
     rows, probs = compute_soft_labels(result.params, prov, dataset)
-    sig = TeacherSignal(cached=(rows, probs))
+    sig = TeacherSignal(rows, probs)
     cfg = tiny_cfg(epochs=1)
     with_kd = distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
                       signal=sig, variant="full")

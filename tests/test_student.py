@@ -231,10 +231,9 @@ def test_kd_loss_validation():
 
 def test_rec_loss_one_hot_and_uniform():
     one_hot = np.zeros(8)
-    one_hot[3] = 1.0
+    one_hot[3] = 50.0
     assert float(rec_loss(Tensor(one_hot), 3).data) <= 1e-9
-    uniform = np.zeros(101)
-    uniform[1:] = 1.0 / 100.0
+    uniform = np.zeros(101)          # the pad column 0 is not a candidate
     out = float(rec_loss(Tensor(uniform), 17).data)
     assert abs(out - np.log(100.0)) < 1e-12
     with pytest.raises(InvalidArgumentError):
@@ -245,9 +244,34 @@ def test_rec_loss_one_hot_and_uniform():
 
 def test_rec_loss_equals_numerics_cross_entropy():
     rng = np.random.default_rng(1)
-    probs = T.masked_softmax(Tensor(rng.standard_normal(9))).data
-    a = float(rec_loss(Tensor(probs.copy()), 4).data)
-    assert a == -np.log(probs[4])
+    logits = rng.standard_normal(9)
+    probs = np.exp(logits[1:]) / np.exp(logits[1:]).sum()
+    a = float(rec_loss(Tensor(logits), 4).data)
+    assert abs(a - -np.log(probs[3])) < 1e-12
+
+
+def test_rec_loss_is_exact_far_below_the_old_floor():
+    # target logit 40 below the best: p(target) ~ 4e-18, under the 1e-12
+    # floor that used to pin the loss at 27.63 with an all-zero gradient
+    logits = Tensor([[0.0, 0.0, 40.0]], requires_grad=True)
+    loss = rec_loss(logits, [1])
+    assert abs(float(loss.data) - 40.0) < 1e-12
+    loss.backward()
+    np.testing.assert_allclose(logits.grad, [[0.0, -1.0, 1.0]], atol=1e-12)
+
+
+def test_kd_loss_is_exact_far_below_the_old_floor():
+    # at t=1 the teacher puts 0.9933 on item 1, where the student's
+    # probability is e^-90; the floored loss read 27.41 with a largest
+    # gradient entry of 5e-42
+    student = Tensor([[0.0, -60.0, 30.0]], requires_grad=True)
+    loss = kd_loss(np.array([[0.0, 5.0, 0.0]]), student, 1.0)
+    p1 = 1.0 / (1.0 + np.exp(-5.0))
+    want = p1 * (np.log(p1) + 90.0) + (1.0 - p1) * np.log(1.0 - p1)
+    assert abs(float(loss.data) - want) < 1e-10
+    assert abs(float(loss.data) - 89.357) < 1e-3
+    loss.backward()
+    np.testing.assert_allclose(student.grad, [[0.0, -p1, p1]], atol=1e-12)
 
 
 def test_joint_loss_arithmetic_and_endpoints():
@@ -270,9 +294,9 @@ def test_alpha_one_stops_gradient_through_rec_path():
     zc = np.zeros((1, 4), int)
     teacher_logits = np.random.default_rng(2).standard_normal((1, 7))
 
-    probs, logits = predict_scores(x, zc, zc, p)
+    _, logits = predict_scores(x, zc, zc, p)
     kd = kd_loss(teacher_logits, logits, 3.0)
-    rec = rec_loss(probs, np.array([5]))
+    rec = rec_loss(logits, np.array([5]))
     loss = joint_loss(kd, rec, 1.0)
     for t in p.as_dict().values():
         t.grad = None
@@ -333,9 +357,9 @@ def test_student_gradients_match_finite_differences():
     teacher_logits = rng.standard_normal((2, 7))
 
     def loss_fn(q):
-        probs, logits = predict_scores(x, x_c, x_f, p)
+        _, logits = predict_scores(x, x_c, x_f, p)
         kd = kd_loss(teacher_logits, logits, 3.0)
-        rec = rec_loss(probs, targets)
+        rec = rec_loss(logits, targets)
         return joint_loss(kd, rec, 0.2)
 
     report = finite_diff_check(loss_fn, p.as_dict(), rel_tol=1e-4,

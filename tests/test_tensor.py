@@ -35,10 +35,13 @@ def p(shape, scale=1.0, seed=None):
 
 def test_softmax_matches_reference_values():
     # Reference computed with scipy.special.softmax on [1,2,3]/3.
-    out = T.masked_softmax(T.Tensor([1.0, 2.0, 3.0]), temperature=3.0)
+    out = T.masked_softmax(T.Tensor(np.array([1.0, 2.0, 3.0]) / 3.0))
     expected = [0.23023721634819047, 0.32132191985276876, 0.44844086379904069]
     np.testing.assert_allclose(out.data, expected, rtol=1e-12)
     assert abs(out.data.sum() - 1.0) < 1e-12
+    # the same reference through log_softmax's temperature
+    log_out = T.log_softmax(T.Tensor([1.0, 2.0, 3.0]), True, temperature=3.0)
+    np.testing.assert_allclose(log_out.data, np.log(expected), rtol=1e-12)
 
 
 def test_softmax_shift_invariance():
@@ -59,10 +62,6 @@ def test_softmax_rejects_bad_input():
         T.masked_softmax(T.Tensor(np.zeros((2, 0))))
     with pytest.raises(InvalidArgumentError):
         T.masked_softmax(T.Tensor(np.zeros(0)))
-    with pytest.raises(InvalidArgumentError):
-        T.masked_softmax(T.Tensor([1.0, 2.0]), temperature=0.0)
-    with pytest.raises(InvalidArgumentError):
-        T.masked_softmax(T.Tensor([1.0, 2.0]), temperature=-1.0)
 
 
 def test_masked_softmax_zeroes_masked_entries():
@@ -85,17 +84,67 @@ def test_masked_softmax_all_masked_row_is_zero():
     assert abs(y[1].sum() - 1.0) < 1e-12
 
 
+def test_log_softmax_equals_log_of_masked_softmax():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((6, 9)) * 4.0
+    valid = rng.random((6, 9)) < 0.7
+    valid[:, 0] = True
+    for tau in (1.0, 2.5):
+        got = T.log_softmax(T.Tensor(x), valid, temperature=tau).data
+        want = np.log(T.masked_softmax(T.Tensor(x / tau), valid).data[valid])
+        np.testing.assert_allclose(got[valid], want, rtol=0, atol=1e-12)
+
+
+def test_log_softmax_masked_entries_are_exact_zeros():
+    x = T.Tensor([[1.0, 5.0, 2.0], [3.0, -1e4, 4.0]], requires_grad=True)
+    valid = np.array([[True, False, True], [True, True, True]])
+    y = T.log_softmax(x, valid)
+    assert y.data[0, 1] == 0.0
+    # masked entries neither feed the valid ones nor receive gradient
+    x2 = T.Tensor([[1.0, -999.0, 2.0], [3.0, -1e4, 4.0]])
+    np.testing.assert_array_equal(y.data, T.log_softmax(x2, valid).data)
+    T.tsum(y).backward()
+    assert x.grad[0, 1] == 0.0
+    assert np.all(np.isfinite(x.grad))
+
+
+def test_log_softmax_extreme_scores_stay_finite():
+    x = T.Tensor([1e4, -1e4, 0.0], requires_grad=True)
+    y = T.log_softmax(x, True)
+    assert np.all(np.isfinite(y.data))
+    np.testing.assert_allclose(y.data, [0.0, -2e4, -1e4], rtol=1e-15)
+    T.tsum(y * y).backward()
+    assert np.all(np.isfinite(x.grad))
+
+
+def test_log_softmax_rejects_bad_input():
+    with pytest.raises(InvalidArgumentError):
+        T.log_softmax(T.Tensor(np.zeros((2, 0))), True)
+    with pytest.raises(InvalidArgumentError):
+        T.log_softmax(T.Tensor([[1.0, 2.0], [3.0, 4.0]]),
+                      np.array([[True, True], [False, False]]))
+    with pytest.raises(InvalidArgumentError):
+        T.log_softmax(T.Tensor([1.0, 2.0]), True, temperature=0.0)
+    with pytest.raises(InvalidArgumentError):
+        T.log_softmax(T.Tensor([1.0, 2.0]), True, temperature=-1.0)
+
+
 def test_cross_entropy_matches_reference():
     # -log(0.7) computed independently.
-    out = T.batch_cross_entropy(T.Tensor([[0.1, 0.7, 0.2]]), [1])
+    out = T.batch_cross_entropy(T.Tensor(np.log([[0.1, 0.7, 0.2]])), [1])
     assert abs(out.item() - 0.35667494393873245) < 1e-12
 
 
-def test_cross_entropy_zero_probability_is_clamped():
-    out = T.batch_cross_entropy(T.Tensor([[1.0, 0.0]]), [1])
-    assert abs(out.item() - (-np.log(T.CLAMP))) < 1e-9
+def test_cross_entropy_is_exact_far_below_the_old_floor():
+    # p(target) = 1 / (1 + e^40) ~ 4e-18, below the 1e-12 floor the loss
+    # used to clamp at (which gave 27.63 and no gradient)
+    x = T.Tensor([[0.0, 40.0]], requires_grad=True)
+    out = T.batch_cross_entropy(T.log_softmax(x, True), [0])
+    assert abs(out.item() - 40.0) < 1e-12
+    out.backward()
+    np.testing.assert_allclose(x.grad, [[-1.0, 1.0]], atol=1e-12)
     with pytest.raises(IndexError):
-        T.batch_cross_entropy(T.Tensor([[0.5, 0.5]]), [2])
+        T.batch_cross_entropy(T.Tensor(np.log([[0.5, 0.5]])), [2])
 
 
 def test_layer_norm_forward_matches_reference():
@@ -104,13 +153,6 @@ def test_layer_norm_forward_matches_reference():
     expected = [-1.34164025, -0.44721342, 0.44721342, 1.34164025]
     np.testing.assert_allclose(y.data[0], expected, atol=1e-7)
     assert abs(y.data.mean()) < 1e-9
-
-
-def test_log_clamps_below_floor():
-    y = T.log(T.Tensor([0.0, 1e-20, 1.0]))
-    assert y.data[0] == np.log(T.CLAMP)
-    assert y.data[1] == np.log(T.CLAMP)
-    assert y.data[2] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +195,13 @@ def test_grad_sigmoid_tanh_exp():
     check(lambda q: T.tsum(T.sigmoid(q["a"]) + T.tanh(q["a"])), {"a": a})
 
 
-def test_grad_log():
-    a = p((6,), seed=13)
-    a.data = np.abs(a.data) + 0.1
-    check(lambda q: T.tsum(T.log(q["a"])), {"a": a})
+def test_grad_log_softmax_masked_and_temperature():
+    a = p((3, 5), seed=13)
+    valid = np.array([[1, 1, 0, 1, 1], [1, 1, 1, 1, 1], [0, 1, 1, 0, 1]], bool)
+    w = T.Tensor(np.random.default_rng(24).standard_normal((3, 5)))
+    for tau in (1.0, 2.5):
+        check(lambda q, tau=tau: T.tsum(
+            w * T.log_softmax(q["a"], valid, temperature=tau)), {"a": a})
 
 
 def test_grad_sum_mean_axes():
@@ -219,7 +264,7 @@ def test_grad_softmax_masked_and_temperature():
     w = T.Tensor(np.random.default_rng(24).standard_normal((3, 5)))
     for tau in (1.0, 3.0):
         check(lambda q, tau=tau: T.tsum(
-            w * T.masked_softmax(q["a"], valid, temperature=tau)), {"a": a})
+            w * T.masked_softmax(q["a"] / tau, valid)), {"a": a})
 
 
 def test_grad_layer_norm():
@@ -232,8 +277,8 @@ def test_grad_layer_norm():
 def test_grad_batch_losses():
     a = p((4, 6), seed=31)
     targets = np.array([0, 5, 2, 2])
-    check(lambda q: T.batch_cross_entropy(T.masked_softmax(q["a"]), targets),
-          {"a": a})
+    check(lambda q: T.batch_cross_entropy(T.log_softmax(q["a"], True),
+                                          targets), {"a": a})
 
 
 def test_grad_accumulates_across_reuse():

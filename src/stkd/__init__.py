@@ -42,7 +42,7 @@ from .pipeline import (ABLATION_VARIANTS, FUSION_STRATEGIES, MetricsReport,
                        sweep)
 from .sequences import SequenceDataset, build_sequences, load_vocab, save_vocab
 from .student import (StudentParams, encode, joint_loss, kd_loss,
-                      predict_scores, rec_loss, recommend)
+                      predict_logits, predict_scores, rec_loss, recommend)
 from .synthetic import SyntheticConfig, generate_synthetic, write_synthetic
 from .teacher import (TeacherParams, gnn_forward, soft_labels, teacher_forward,
                       user_gate)
@@ -66,7 +66,8 @@ __all__ = [
     "gnn_forward", "graph_stats", "hit_rate_at_k", "ingest_events",
     "is_valid_geohash6", "joint_loss", "kd_loss", "load_soft_labels",
     "load_vocab",
-    "ndcg_at_k", "precision", "predict_scores", "pretrain_teacher",
+    "ndcg_at_k", "precision", "predict_logits", "predict_scores",
+    "pretrain_teacher",
     "rank_of_target", "rec_loss", "recommend", "rng_for",
     "sample_negatives", "sample_subgraph", "save_soft_labels", "save_vocab",
     "set_debug_checks", "soft_labels", "spherical_distance", "sweep",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -102,10 +103,10 @@ class TrainConfig:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.d % self.heads != 0:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
-        self.fanouts = tuple(int(f) for f in self.fanouts)
+        self.fanouts = int_tuple("fanouts", self.fanouts)
         if any(f <= 0 for f in self.fanouts):
             raise ConfigError(f"fanouts must be positive, got {self.fanouts}")
-        self.k_list = tuple(int(k) for k in self.k_list)
+        self.k_list = int_tuple("k_list", self.k_list)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -116,6 +117,23 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
         return config_from_dict(cls, data)
+
+
+def is_int(value) -> bool:
+    """An integer config entry: a bool, a float or a string is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def int_tuple(name: str, values, length: int | None = None) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; raises ConfigError unless it is a list
+    or tuple (of ``length`` entries, if given) of integers."""
+    if (not isinstance(values, (list, tuple))
+            or (length is not None and len(values) != length)
+            or not all(is_int(v) for v in values)):
+        size = f"{length} " if length is not None else ""
+        raise ConfigError(f"{name} takes a list of {size}integers, "
+                          f"got {values!r}")
+    return tuple(int(v) for v in values)
 
 
 # The value types a config field accepts, keyed by the type of its default.

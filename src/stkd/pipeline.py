@@ -31,8 +31,8 @@ from .instrument import Counters
 from .metrics import MetricAccumulator, rank_of_target, sample_negatives
 from .optim import Adam
 from .sequences import SequenceDataset
-from .student import (StudentParams, joint_loss, kd_loss, predict_scores,
-                      rec_loss)
+from .student import (StudentParams, joint_loss, kd_loss, predict_logits,
+                      predict_scores, rec_loss)
 from .teacher import (TeacherParams, pretrain_step, teacher_forward,
                       teacher_optimizer, teacher_readout)
 from .tensor import CLAMP, Tensor
@@ -443,7 +443,7 @@ def distill(cfg: TrainConfig, dataset: SequenceDataset, n_takeaways: int,
             fused = fusion_readout(batch)
             if isinstance(fused, Tensor):
                 fused = Tensor(fused.data)   # frozen teacher features
-        _, logits = predict_scores(
+        logits = predict_logits(
             dataset.items[batch], dataset.regions[batch],
             dataset.dists[batch], params, train=True, seed=cfg.seed,
             step=i, fused=fused, fusion=fusion)

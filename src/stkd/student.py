@@ -181,11 +181,9 @@ def _anchor_indices(x: np.ndarray) -> np.ndarray:
     return n - 1 - np.argmax(real[:, ::-1], axis=-1)
 
 
-def predict_scores(x, x_c, x_f, params: StudentParams, train: bool = False,
-                   seed: int = 0, step: int = 0,
-                   fused: Tensor | None = None,
-                   fusion: str = "stkd") -> tuple[Tensor, Tensor]:
-    """Returns (probs (b, |V|+1) with pad column 0, raw logits (b, |V|+1)).
+def _anchor(x, x_c, x_f, params: StudentParams, train: bool, seed: int,
+            step: int, fused: Tensor | None, fusion: str) -> Tensor:
+    """The prediction anchor h* (b, d): the last non-pad position's state.
 
     `fused`, when given, is a teacher readout (b, d) merged into the anchor
     according to `fusion`: add, multi (elementwise product), or cat
@@ -203,7 +201,27 @@ def predict_scores(x, x_c, x_f, params: StudentParams, train: bool = False,
             h_star = T.concat([h_star, fused], axis=-1) @ params.W_cat
         else:
             raise InvalidArgumentError(f"unknown fusion strategy {fusion!r}")
-    return score_items(h_star, params)
+    return h_star
+
+
+def predict_scores(x, x_c, x_f, params: StudentParams, train: bool = False,
+                   seed: int = 0, step: int = 0,
+                   fused: Tensor | None = None,
+                   fusion: str = "stkd") -> tuple[Tensor, Tensor]:
+    """Returns (probs (b, |V|+1) with pad column 0, raw logits (b, |V|+1));
+    `fused` and `fusion` as in ``_anchor``."""
+    return score_items(_anchor(x, x_c, x_f, params, train, seed, step,
+                               fused, fusion), params)
+
+
+def predict_logits(x, x_c, x_f, params: StudentParams, train: bool = False,
+                   seed: int = 0, step: int = 0,
+                   fused: Tensor | None = None,
+                   fusion: str = "stkd") -> Tensor:
+    """The logits of ``predict_scores`` without its softmax: both training
+    losses take logits."""
+    h_star = _anchor(x, x_c, x_f, params, train, seed, step, fused, fusion)
+    return h_star @ T.swapaxes(params.item_emb, 0, 1)
 
 
 def _item_columns(width: int) -> np.ndarray:

@@ -15,12 +15,13 @@ Identical config + seed always produces byte-identical JSONL output.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .artifacts import write_lines
-from .config import STREAM_SYNTH, rng_for
+from .config import STREAM_SYNTH, int_tuple, is_int, rng_for
 from .errors import ConfigError
 from .geo import encode_geohash
 
@@ -49,6 +50,9 @@ class SyntheticConfig:
     seed: int = 0
     copurchase_pairs: list = field(default_factory=list)  # optional explicit (A, B, p)
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         for name in ("n_users", "n_takeaways", "n_regions", "n_categories",
                      "n_brands", "events_per_user", "favorites_per_region"):
@@ -63,10 +67,18 @@ class SyntheticConfig:
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
         if self.noise + (1.0 - self.noise) * self.head_rate > 1.0 + 1e-9:
             raise ConfigError("noise and head_rate combine above probability 1")
-        if not (1 <= self.session_len[0] <= self.session_len[1]):
+        low, high = int_tuple("session_len", self.session_len, 2)
+        if not 1 <= low <= high:
             raise ConfigError(f"bad session_len range {self.session_len}")
         by_head: dict[int, float] = {}
-        for a, b, p in self.copurchase_pairs:
+        for pair in self.copurchase_pairs:
+            if (not isinstance(pair, (list, tuple)) or len(pair) != 3
+                    or not (is_int(pair[0]) and is_int(pair[1]))
+                    or not isinstance(pair[2], numbers.Real)
+                    or isinstance(pair[2], bool)):
+                raise ConfigError(f"copurchase_pairs entries are [A, B, p] "
+                                  f"with integer ids, got {pair!r}")
+            a, _, p = pair
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"follow probability {p} outside [0, 1]")
             by_head[a] = by_head.get(a, 0.0) + p

@@ -5,6 +5,10 @@ Message passing (per layer, per node): m = sum over sampled children of
 (h_child + h_relation) / (2 * deg) — the mean over the multiset holding both
 the neighbor and relation embeddings — followed by
 h' = relu(concat(m, h) @ W + b). Nodes without sampled children use m = 0.
+Only the readout's rows (the real centres and the user) leave the last of L
+layers, so layer k updates only the rows within L - k hops of them, as in
+GraphSAGE's minibatch algorithm (Hamilton et al. 2017, Alg. 2); the rows it
+skips would reach nothing the readout reads.
 A gate sigma(H_x W1 + W2 H_u^T) modulates each sequence position by the user
 representation, additive attention pools positions into one row r, and
 soft labels are softmax(r E_V^T) over the takeaway vocabulary with the padding
@@ -104,37 +108,72 @@ def _union_batch(subgraphs: list[Subgraph]):
     return nodes, edges, centers, users, total
 
 
+def _needed_rows(edges: np.ndarray, readout: np.ndarray, n_total: int,
+                 layers: int):
+    """The rows each layer must compute, as nested prefixes of one order.
+
+    Works backwards from the readout (GraphSAGE's minibatch sets, Hamilton
+    et al. 2017, Alg. 2): layer ``layers`` needs the readout rows, and layer
+    k-1 needs the rows of layer k plus their children in ``edges``.  Returns
+    (order, sizes, pos): the first ``sizes[k]`` entries of ``order`` are the
+    union rows layer k needs, and ``pos`` maps a union row to its index in
+    ``order``, or to ``len(order)`` for a row no layer needs.
+    """
+    member = np.zeros(n_total, dtype=bool)
+    member[readout] = True
+    parts = [readout]
+    for _ in range(layers):
+        kids = edges[member[edges[:, 0]], 2]
+        new = np.unique(kids[~member[kids]])
+        member[new] = True
+        parts.append(new)
+    order = np.concatenate(parts)
+    sizes = np.cumsum([part.size for part in parts])[::-1]
+    pos = np.full(n_total, order.size)
+    pos[order] = np.arange(order.size)
+    return order, sizes, pos
+
+
 def gnn_forward(subgraphs: list[Subgraph], params: TeacherParams,
                 counters: Counters | None = None):
-    """Run message passing; returns (H_x (b,n,d), H_u (b,d), pad mask (b,n))."""
+    """Run message passing; returns (H_x (b,n,d), H_u (b,d), pad mask (b,n)).
+
+    Each layer updates only the rows that a later layer or the readout reads
+    (``_needed_rows``) and aggregates only the edges whose parent it updates,
+    so the rows the readout reads come out as if every row were updated.
+    """
     if counters is not None:
         counters.bump("teacher_forwards")
     nodes, edges, centers, users, n_total = _union_batch(subgraphs)
-
-    h = T.take_rows(params.entity_emb, nodes)
-    parents = edges[:, 0]
-    # 2 * degree: the aggregation averages over both neighbor and relation
-    # embeddings of each sampled edge
-    denom = np.ones((n_total, 1))
-    if edges.shape[0]:
-        counts = np.bincount(parents, minlength=n_total)
-        denom = np.maximum(2.0 * counts, 1.0).reshape(-1, 1)
-
-    for l in range(params.gnn_layers):
-        if edges.shape[0]:
-            child_h = T.take_rows(h, edges[:, 2])
-            rel_h = T.take_rows(params.relation_emb, edges[:, 1])
-            summed = T.segment_sum(child_h + rel_h, parents, n_total)
-            m = T.div(summed, Tensor(denom))
-        else:
-            m = Tensor(np.zeros((n_total, params.d)))
-        h = T.relu(T.concat([m, h], axis=1) @ params.combine_W[l]
-                   + params.combine_b[l])
-
     real = centers >= 0
-    safe = np.where(real, centers, 0)
-    H_x = T.take_rows(h, safe) * Tensor(real[:, :, None].astype(h.data.dtype))
-    H_u = T.take_rows(h, users)
+    order, sizes, pos = _needed_rows(
+        edges, np.unique(np.append(centers[real], users)), n_total,
+        params.gnn_layers)
+    parent = pos[edges[:, 0]]
+    child = pos[edges[:, 2]]
+    # 2 * degree: the aggregation averages over both neighbor and relation
+    # embeddings of each sampled edge; a needed parent keeps all its edges
+    counts = np.bincount(parent, minlength=order.size + 1)[:order.size]
+    denom = np.maximum(2.0 * counts, 1.0).reshape(-1, 1)
+
+    h = T.take_rows(params.entity_emb, nodes[order])
+    for l in range(params.gnn_layers):
+        n_out = int(sizes[l + 1])
+        kept = parent < n_out           # edge order, and so sum order, kept
+        child_h = T.take_rows(h, child[kept])
+        rel_h = T.take_rows(params.relation_emb, edges[kept, 1])
+        summed = T.segment_sum(child_h + rel_h, parent[kept], n_out)
+        m = T.div(summed, Tensor(denom[:n_out]))
+        h = T.relu(T.concat([m, T.rows(h, 0, n_out)], axis=1)
+                   @ params.combine_W[l] + params.combine_b[l])
+        if counters is not None:
+            counters.bump("gnn_row_updates", n_out)
+            counters.bump("gnn_edge_messages", int(kept.sum()))
+
+    # a pad position reads row 0, which every layer holds, and is zeroed
+    H_x = (T.take_rows(h, np.where(real, pos[centers], 0))
+           * Tensor(real[:, :, None].astype(h.data.dtype)))
+    H_u = T.take_rows(h, pos[users])
     return H_x, H_u, real
 
 

@@ -100,11 +100,12 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
+        # buffers are allocated by the first gradient that reaches them
         for node in topo:
-            node.grad = np.zeros_like(node.data)
+            node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None:
+            if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
 
@@ -123,6 +124,8 @@ def _link(out: Tensor, parents: tuple[Tensor, ...], backward, op: str) -> Tensor
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    if not t.requires_grad:       # a constant: nothing reads its gradient
+        return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g

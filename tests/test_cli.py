@@ -211,10 +211,19 @@ def test_distill_with_kd_needs_soft_labels(workspace, capsys, tmp_path):
 @pytest.mark.parametrize("command, values", [
     ("prepare", {"epochs": "2"}),
     ("gen-synth", {"n_users": "5"}),
-    ("prepare", {"cache_soft_labels": False})])
+    ("prepare", {"cache_soft_labels": False}),
+    ("prepare", {"fanouts": ["a", 4]}),
+    ("prepare", {"fanouts": [2.5, 4]}),
+    ("prepare", {"fanouts": [True, 4]}),
+    ("prepare", {"k_list": [5, "10"]}),
+    ("gen-synth", {"session_len": ["2", 3]}),
+    ("gen-synth", {"session_len": [2]}),
+    ("gen-synth", {"copurchase_pairs": [[1, 2.0, 0.5]]}),
+    ("gen-synth", {"copurchase_pairs": [[1, 2, "0.5"]]}),
+    ("gen-synth", {"copurchase_pairs": [[1, 2]]})])
 def test_bad_config_entry_reports_error(tmp_path, capsys, command, values):
-    """A wrongly typed value or an unknown key in a config file exits 2 and
-    names the key."""
+    """A wrongly typed value (or list entry) or an unknown key in a config
+    file exits 2 and names the key."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(values), encoding="utf-8")
     code = main([command, "--config", str(cfg),

@@ -3,6 +3,7 @@
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stkd import config
@@ -25,6 +26,21 @@ def test_config_values_must_have_the_field_type():
             TrainConfig.from_dict(bad)
     with pytest.raises(ConfigError):
         config_from_dict(SyntheticConfig, {"copurchase_pairs": {}})
+
+
+def test_list_entries_must_be_integers():
+    # int() used to turn 2.5 into 2 and True into 1 without a word
+    assert TrainConfig(fanouts=(np.int64(3), 2)).fanouts == (3, 2)
+    assert SyntheticConfig(session_len=[1, 4]).session_len == [1, 4]
+    for bad in ({"fanouts": (2.5, 4)}, {"fanouts": (True, 4)},
+                {"fanouts": ("4", 4)}, {"k_list": (10, None)}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            TrainConfig(**bad)
+    for bad in ({"session_len": (2.0, 3)}, {"session_len": (2, 3, 4)},
+                {"copurchase_pairs": [(1, False, 0.5)]},
+                {"copurchase_pairs": [(1, 2, None)]}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            SyntheticConfig(**bad)
 
 
 def test_every_train_config_field_is_read_by_the_package():

@@ -7,7 +7,8 @@ from stkd import tensor as T
 from stkd.errors import (ConfigError, InvalidArgumentError, InvalidSampleError)
 from stkd.gradcheck import finite_diff_check
 from stkd.student import (StudentParams, embed_sequence, encode, joint_loss,
-                          kd_loss, predict_scores, rec_loss, recommend,
+                          kd_loss, predict_logits, predict_scores, rec_loss,
+                          recommend,
                           score_items, spatial_position_embedding)
 from stkd.tensor import Tensor
 
@@ -340,6 +341,21 @@ def test_fusion_strategies_change_scores():
         assert np.abs(fused.data - base.data).max() > 0, strategy
     with pytest.raises(InvalidArgumentError):
         predict_scores(x, zc, zc, p, fused=r, fusion="bogus")
+
+
+@pytest.mark.parametrize("fusion", ["stkd", "cat"])
+def test_predict_logits_are_the_logits_of_predict_scores(fusion):
+    # training reads these logits; dropout draws and arithmetic must match
+    p = micro(n_takeaways=10, dropout=0.3)
+    x = np.array([[0, 1, 2, 3], [4, 5, 6, 1]])
+    zc = np.zeros((2, 4), int)
+    r = (Tensor(np.random.default_rng(4).standard_normal((2, p.d)))
+         if fusion != "stkd" else None)
+    _, want = predict_scores(x, zc, zc, p, train=True, seed=5, step=3,
+                             fused=r, fusion=fusion)
+    got = predict_logits(x, zc, zc, p, train=True, seed=5, step=3, fused=r,
+                         fusion=fusion)
+    np.testing.assert_array_equal(got.data, want.data)
 
 
 def test_student_gradients_match_finite_differences():

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
+from stkd import teacher
+from stkd import tensor as T
+from stkd.config import STREAM_SHUFFLE, TrainConfig, rng_for
 from stkd.errors import ConfigError, InvalidSampleError
+from stkd.events import ingest_events
 from stkd.gradcheck import finite_diff_check
-from stkd.graph import Subgraph
+from stkd.graph import Subgraph, build_stkg
 from stkd.instrument import Counters
+from stkd.pipeline import SubgraphProvider, build_teacher
+from stkd.sequences import build_sequences
+from stkd.synthetic import SyntheticConfig, generate_synthetic
 from stkd.teacher import (TeacherParams, gnn_forward, pretrain_loss,
                           pretrain_step, soft_labels, teacher_forward,
                           teacher_optimizer, user_gate)
@@ -210,3 +217,137 @@ def test_teacher_gradients_match_finite_differences():
 
     report = finite_diff_check(loss_fn, p.as_dict(), rel_tol=1e-4)
     assert report.passed, str(report)
+
+
+# ---------------------------------------------------------------------------
+# pruned message passing against the unpruned loop
+# ---------------------------------------------------------------------------
+
+def reference_gnn_forward(subgraphs, params, counters=None):
+    """The unpruned loop: every layer updates every row of the batch union."""
+    nodes, edges, centers, users, n_total = teacher._union_batch(subgraphs)
+    h = T.take_rows(params.entity_emb, nodes)
+    parents = edges[:, 0]
+    denom = np.ones((n_total, 1))
+    if edges.shape[0]:
+        counts = np.bincount(parents, minlength=n_total)
+        denom = np.maximum(2.0 * counts, 1.0).reshape(-1, 1)
+    for l in range(params.gnn_layers):
+        if edges.shape[0]:
+            child_h = T.take_rows(h, edges[:, 2])
+            rel_h = T.take_rows(params.relation_emb, edges[:, 1])
+            summed = T.segment_sum(child_h + rel_h, parents, n_total)
+            m = T.div(summed, Tensor(denom))
+        else:
+            m = Tensor(np.zeros((n_total, params.d)))
+        h = T.relu(T.concat([m, h], axis=1) @ params.combine_W[l]
+                   + params.combine_b[l])
+    real = centers >= 0
+    safe = np.where(real, centers, 0)
+    H_x = T.take_rows(h, safe) * Tensor(real[:, :, None].astype(h.data.dtype))
+    H_u = T.take_rows(h, users)
+    return H_x, H_u, real
+
+
+def _spread(params, seed):
+    # weights far from the tiny init, so relu kinks and sums are exercised
+    rng = np.random.default_rng(seed)
+    for t in params.as_dict().values():
+        t.data[:] = rng.standard_normal(t.data.shape) * 0.5
+
+
+def _forward_and_grads(subgraphs, targets, params):
+    H_x, H_u, real = teacher.gnn_forward(subgraphs, params)
+    for t in params.as_dict().values():
+        t.grad = None
+    pretrain_loss(subgraphs, targets, params).backward()
+    grads = {k: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
+             for k, t in params.as_dict().items()}
+    return H_x.data, H_u.data, real, grads
+
+
+def assert_matches_reference(subgraphs, targets, params, monkeypatch):
+    """H_x, H_u and every pretraining gradient equal the unpruned loop's."""
+    got = _forward_and_grads(subgraphs, targets, params)
+    with monkeypatch.context() as m:
+        m.setattr(teacher, "gnn_forward", reference_gnn_forward)
+        want = _forward_and_grads(subgraphs, targets, params)
+    np.testing.assert_array_equal(got[2], want[2])
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+    for name in want[3]:
+        np.testing.assert_allclose(got[3][name], want[3][name], rtol=0,
+                                   atol=1e-12, err_msg=name)
+
+
+def _edge_cases():
+    """Entities: users 0-1, takeaways 2-6, other nodes 7-9."""
+    # pad-first; centre 0 repeated; the user is centre 0's neighbour; centre
+    # 1 is cold; a 4-hop chain 0 -> 3 -> 4 -> 5 -> 3
+    a = subgraph(nodes=[2, 3, 0, 7, 8, 9], centers=[-1, 0, 0, 1],
+                 user_index=2, edges=[[0, 0, 2], [0, 1, 3], [3, 2, 4],
+                                      [4, 0, 5], [5, 1, 3]])
+    # a single cold centre and no edge at all
+    b = subgraph(nodes=[4, 1], centers=[-1, -1, -1, 0], user_index=1,
+                 edges=[])
+    # centre 1 is also centre 0's neighbour; the user sits two hops out
+    c = subgraph(nodes=[5, 6, 1, 8], centers=[0, 1, 0, -1], user_index=2,
+                 edges=[[0, 0, 1], [1, 1, 0], [0, 2, 3], [3, 0, 2]])
+    return [a, b, c], np.array([1, 4, 5])
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_pruned_layers_match_unpruned_on_edge_cases(layers, monkeypatch):
+    p = micro_params(n_entities=10, n_relations=3, n=4, d=3, layers=layers,
+                     n_users=2, n_takeaways=5)
+    _spread(p, seed=layers)
+    subgraphs, targets = _edge_cases()
+    assert_matches_reference(subgraphs, targets, p, monkeypatch)
+
+
+def test_pruned_row_and_edge_counts_on_edge_cases():
+    # union rows: a 0-5, b 6-7, c 8-11 (12 rows, 9 edges)
+    p = micro_params(n_entities=10, n_relations=3, n=4, d=3, layers=3,
+                     n_users=2, n_takeaways=5)
+    c = Counters()
+    gnn_forward(_edge_cases()[0], p, c)
+    # layer 3 (the readout): 0, 1, 2, 6, 7, 8, 9, 10; layer 2 adds their
+    # children 3 and 11; layer 1 adds 4; row 5 is only read as a child
+    assert c.get("gnn_row_updates") == 11 + 10 + 8
+    # edges whose parent the layer updates: 4 + 4, 3 + 4, 2 + 3
+    assert c.get("gnn_edge_messages") == 8 + 7 + 5
+
+
+@pytest.fixture(scope="module")
+def criterion8_world():
+    scfg = SyntheticConfig(n_users=30, n_takeaways=60, n_regions=6,
+                           events_per_user=18, noise=0.2, seed=3)
+    events, vocab, _ = ingest_events(generate_synthetic(scfg))
+    return build_sequences(events, vocab, n=8), build_stkg(events, vocab), vocab
+
+
+@pytest.mark.parametrize("layers, fanouts", [(1, (2, 2)), (2, (2, 2)),
+                                             (3, (2, 2)), (2, (4, 4))])
+def test_pruned_layers_match_unpruned_on_first_training_batch(
+        criterion8_world, layers, fanouts, monkeypatch):
+    # the acceptance gate's determinism world and its first training batch;
+    # (2, (4, 4)) is the gate's own teacher
+    dataset, stkg, vocab = criterion8_world
+    cfg = TrainConfig(epochs=2, batch_size=64, n=8, d=16, heads=2, layers=1,
+                      gnn_layers=layers, fanouts=fanouts, seed=0, lr=0.01)
+    p = build_teacher(cfg, stkg, vocab.n_users, vocab.n_takeaways)
+    _spread(p, seed=7)
+    order = rng_for(cfg.seed, STREAM_SHUFFLE, 0).permutation(
+        dataset.rows("train"))
+    batch = order[:cfg.batch_size]
+    subgraphs = SubgraphProvider(dataset, stkg, cfg.fanouts,
+                                 cfg.seed).batch(batch)
+    assert_matches_reference(subgraphs, dataset.target[batch], p,
+                             monkeypatch)
+
+    c = Counters()
+    gnn_forward(subgraphs, p, c)
+    union_rows = sum(sg.n_nodes for sg in subgraphs)
+    n_edges = sum(sg.edges.shape[0] for sg in subgraphs)
+    assert 0 < c.get("gnn_row_updates") < union_rows * layers
+    assert 0 < c.get("gnn_edge_messages") < n_edges * layers

@@ -289,6 +289,44 @@ def test_grad_accumulates_across_reuse():
     np.testing.assert_allclose(a.grad, 2.0 * a.data + 3.0, atol=1e-12)
 
 
+def _eager_backward(out):
+    """The sweep ``Tensor.backward`` used to run: the same tape order, but
+    every tape node gets a zero buffer before any gradient flows."""
+    topo, seen, stack = [], set(), [(out, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((q, False) for q in node._parents if id(q) not in seen)
+    for node in topo:
+        node.grad = np.zeros_like(node.data)
+    out.grad = np.ones_like(out.data)
+    for node in reversed(topo):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
+def test_backward_allocates_gradients_only_where_they_flow():
+    table, w = p((5, 3), seed=40), p((3, 4), seed=41)
+    const = T.Tensor(np.random.default_rng(42).standard_normal((4, 4)))
+    h = T.take_rows(table, [0, 2, 2, 4])
+    side = T.tanh(h @ w)                 # a branch the loss never reads
+    mixed = T.concat([T.segment_sum(h, [1, 0, 1, 3], 4), h], axis=1)
+    loss = (T.tsum(T.relu(h @ w) * const)
+            + T.tsum(T.log_softmax(mixed @ T.concat([w, w], axis=0), True)))
+    loss.backward()
+    assert const.grad is None and side.grad is None
+    lazy = {"table": table.grad.copy(), "w": w.grad.copy()}
+    _eager_backward(loss)
+    for name, t in (("table", table), ("w", w)):
+        assert np.array_equal(lazy[name], t.grad), name
+
+
 def test_dropout_scaling_and_grad_mask():
     x = T.Tensor(np.ones((1000,)), requires_grad=True)
     rng = np.random.default_rng(0)

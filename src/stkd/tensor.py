@@ -320,6 +320,23 @@ def rows(a, start: int, stop: int) -> Tensor:
 # indexed gathers (embedding lookups and friends)
 # ---------------------------------------------------------------------------
 
+def _scatter_add(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """out[idx[j]] += values[j] on an (n, *tail) array of zeros, where
+    ``values`` is ``idx.shape + tail``.
+
+    One flat ``np.bincount`` over the (row, column) cells: it adds in float64
+    and in ascending position order, so the result is bitwise that of
+    ``np.add.at`` on zeros, without its per-element dispatch.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    tail = values.shape[idx.ndim:]
+    d = int(np.prod(tail, dtype=np.intp))
+    if idx.size == 0 or d == 0:
+        return np.zeros((n,) + tail, dtype=values.dtype)
+    cells = (idx.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+    out = np.bincount(cells, weights=values.reshape(-1), minlength=n * d)
+    return out.astype(values.dtype, copy=False).reshape((n,) + tail)
+
 def take_rows(table, ids) -> Tensor:
     """Embedding lookup: table[ids].
 
@@ -335,9 +352,7 @@ def take_rows(table, ids) -> Tensor:
     out = Tensor(table.data[ids])
 
     def backward(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-        _accum(table, gt)
+        _accum(table, _scatter_add(ids, g, table.data.shape[0]))
 
     return _link(out, (table,), backward, "take_rows")
 
@@ -352,9 +367,8 @@ def take_at(a, idx) -> Tensor:
     out = Tensor(a.data[rows_, idx])
 
     def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (rows_, idx), g)
-        _accum(a, ga)
+        flat = rows_ * a.data.shape[1] + idx
+        _accum(a, _scatter_add(flat, g, a.data.size).reshape(a.data.shape))
 
     return _link(out, (a,), backward, "take_at")
 
@@ -367,9 +381,9 @@ def take_positions(a, pos) -> Tensor:
     out = Tensor(a.data[batch, pos])
 
     def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (batch, pos), g)
-        _accum(a, ga)
+        n = a.data.shape[1]
+        ga = _scatter_add(batch * n + pos, g, a.data.shape[0] * n)
+        _accum(a, ga.reshape(a.data.shape))
 
     return _link(out, (a,), backward, "take_positions")
 
@@ -378,9 +392,7 @@ def segment_sum(x, segments, num_segments: int) -> Tensor:
     """Sum rows of x into num_segments buckets keyed by `segments`."""
     x = as_tensor(x)
     segments = np.asarray(segments)
-    data = np.zeros((num_segments,) + x.data.shape[1:], dtype=x.data.dtype)
-    np.add.at(data, segments, x.data)
-    out = Tensor(data)
+    out = Tensor(_scatter_add(segments, x.data, num_segments))
 
     def backward(g):
         _accum(x, g[segments])

@@ -258,6 +258,27 @@ def test_grad_segment_sum():
     check(lambda q: sumsq(T.segment_sum(q["x"], seg, 4)), {"x": x})
 
 
+@pytest.mark.parametrize("ids_shape, tail, n", [
+    ((500,), (7,), 40),          # 1-D ids, many repeats
+    ((500,), (), 40),            # scalar values per id
+    ((12, 9), (5,), 6),          # 2-D ids (a batch of sequences)
+    ((4, 6, 3), (2, 3), 11),     # 3-D ids, 2-D rows
+    ((0,), (5,), 8),             # empty index
+    ((3, 0), (4,), 2),           # empty along a later axis
+    ((10,), (0,), 3),            # zero-width rows
+])
+def test_scatter_add_is_bitwise_np_add_at(ids_shape, tail, n):
+    rng = np.random.default_rng(sum(ids_shape) + n)
+    ids = rng.integers(0, n, size=ids_shape)
+    values = rng.standard_normal(ids_shape + tail) * 10.0 ** rng.integers(
+        -8, 8, size=ids_shape + tail)
+    want = np.zeros((n,) + tail)
+    np.add.at(want, ids, values)
+    got = T._scatter_add(ids, values, n)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_grad_softmax_masked_and_temperature():
     a = p((3, 5), seed=23)
     valid = np.array([[1, 1, 0, 1, 1], [1, 1, 1, 1, 1], [0, 1, 1, 0, 1]], bool)

@@ -7,7 +7,10 @@ absolute position table. Blocks are pre-normalization residual transformer
 layers with per-head projection matrices; attention is masked so a position
 sees only itself and earlier *real* (non-pad) positions. The prediction anchor
 is the last non-pad position's row, scored against the tied item-embedding
-table with the padding column removed from the distribution.
+table with the padding column removed from the distribution. Only that row is
+ever read, so the last block computes only it: its attention still reads
+every position, while its output projection, residual, second norm, FFN and
+dropouts run on the anchor rows alone, (b, d) instead of (b, n, d).
 """
 
 from __future__ import annotations
@@ -129,11 +132,19 @@ def _attention_mask(x: np.ndarray) -> np.ndarray:
 
 def attention_block(h: Tensor, blk: dict, mask: np.ndarray, d_head: int,
                     train: bool = False, dropout: float = 0.0,
-                    rng: np.random.Generator | None = None) -> Tensor:
-    """Pre-normalization residual block: attention then feed-forward."""
-    if mask.shape[-1] != h.data.shape[-2]:
+                    rng: np.random.Generator | None = None,
+                    rows: np.ndarray | None = None) -> Tensor:
+    """Pre-normalization residual block: attention then feed-forward.
+
+    Returns (b, n, d) states, or with ``rows`` (one position per sequence)
+    only those positions' states, (b, d): attention still reads every
+    position, and the output projection, residual, second norm, FFN and both
+    dropouts run on the gathered rows alone.
+    """
+    n = h.data.shape[-2]
+    if mask.shape[-1] != n:
         raise ConfigError(f"mask length {mask.shape[-1]} != sequence length "
-                          f"{h.data.shape[-2]}")
+                          f"{n}")
     x_norm = T.layer_norm(h, blk["ln1_g"], blk["ln1_b"])
     head_outs = []
     scale = 1.0 / np.sqrt(d_head)
@@ -144,30 +155,38 @@ def attention_block(h: Tensor, blk: dict, mask: np.ndarray, d_head: int,
         scores = (q @ T.swapaxes(k, -1, -2)) * scale
         att = T.masked_softmax(scores, mask)
         head_outs.append(att @ v)
-    attn = T.concat(head_outs, axis=-1) @ blk["Wo"]
+    heads = T.concat(head_outs, axis=-1)
+    if rows is not None:
+        heads = T.take_positions(heads, rows)
+        h = T.take_positions(h, rows)
+    attn = heads @ blk["Wo"]
     if train and dropout > 0.0:
-        attn = T.dropout(attn, dropout, rng)
+        attn = T.dropout(attn, dropout, rng, rows, n)
     a = h + attn
     a_norm = T.layer_norm(a, blk["ln2_g"], blk["ln2_b"])
     ffn = T.relu(a_norm @ blk["ffn_W1"] + blk["ffn_b1"]) @ blk["ffn_W2"] \
         + blk["ffn_b2"]
     if train and dropout > 0.0:
-        ffn = T.dropout(ffn, dropout, rng)
+        ffn = T.dropout(ffn, dropout, rng, rows, n)
     return a + ffn
 
 
 def encode(x, x_c, x_f, params: StudentParams, train: bool = False,
-           seed: int = 0, step: int = 0) -> Tensor:
-    """Embedding plus all attention blocks; returns (b, n, d) states."""
+           seed: int = 0, step: int = 0,
+           rows: np.ndarray | None = None) -> Tensor:
+    """Embedding plus all attention blocks; returns (b, n, d) states, or with
+    ``rows`` only the last block's states at those positions, (b, d)."""
     x = np.atleast_2d(np.asarray(x))
     x_c = np.atleast_2d(np.asarray(x_c))
     x_f = np.atleast_2d(np.asarray(x_f))
     rng = rng_for(seed, STREAM_DROPOUT, step) if train else None
     h = embed_sequence(x, x_c, x_f, params, train=train, rng=rng)
     mask = _attention_mask(x)
-    for blk in params.blocks:
+    last = len(params.blocks) - 1
+    for i, blk in enumerate(params.blocks):
         h = attention_block(h, blk, mask, params.d_head, train=train,
-                            dropout=params.dropout, rng=rng)
+                            dropout=params.dropout, rng=rng,
+                            rows=rows if i == last else None)
     return h
 
 
@@ -190,8 +209,8 @@ def _anchor(x, x_c, x_f, params: StudentParams, train: bool, seed: int,
     (concatenation followed by a linear map back to d).
     """
     x = np.atleast_2d(np.asarray(x))
-    h = encode(x, x_c, x_f, params, train=train, seed=seed, step=step)
-    h_star = T.take_positions(h, _anchor_indices(x))
+    h_star = encode(x, x_c, x_f, params, train=train, seed=seed, step=step,
+                    rows=_anchor_indices(x))
     if fused is not None:
         if fusion == "add":
             h_star = h_star + fused
@@ -288,8 +307,16 @@ def joint_loss(kd: Tensor | float, rec: Tensor | float, alpha: float) -> Tensor:
 
 
 def recommend(x, x_c, x_f, params: StudentParams, k: int = 10):
-    """Top-k (item id, probability) pairs for one sequence."""
+    """Top-k (item id, probability) pairs for one sequence, most probable
+    first and ties in id order; min(k, |V|) pairs, never the padding id 0."""
+    if k < 1:
+        raise InvalidArgumentError(f"k must be at least 1, got {k}")
     probs, _ = predict_scores(x, x_c, x_f, params)
-    row = probs.data[0]
-    top = np.argsort(-row, kind="stable")[:k]
-    return [(int(i), float(row[i])) for i in top]
+    items = probs.data[0, 1:]                 # column j holds item id j + 1
+    k = min(k, items.size)
+    # the k-th largest value, then a stable sort of everything at or above
+    # it (ties at the cut included): a full stable sort's first k, in O(|V|)
+    cut = np.partition(items, items.size - k)[items.size - k]
+    above = np.flatnonzero(items >= cut)
+    top = above[np.argsort(-items[above], kind="stable")[:k]]
+    return [(int(i) + 1, float(items[i])) for i in top]

@@ -480,10 +480,11 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale-shift."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.data.shape[-1]
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    c = x.data - x.data.mean(axis=-1, keepdims=True)
+    # np.var's own arithmetic, on the centred array this needs anyway
+    var = (c * c).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = c * inv
     out = Tensor(xhat * gain.data + bias.data)
 
     def backward(g):
@@ -498,12 +499,25 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     return _link(out, (x, gain, bias), backward, "layer_norm")
 
 
-def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; call only in training mode."""
+def dropout(x, rate: float, rng: np.random.Generator,
+            rows: np.ndarray | None = None, length: int = 0) -> Tensor:
+    """Inverted dropout; call only in training mode.
+
+    With ``rows``, x (b, ...) holds position ``rows[i]`` of sequence i of a
+    (b, length, ...) array: the mask is drawn for that whole array and
+    gathered at the same positions, so the random stream and these rows'
+    masks are the ones dropout before the gather would use.
+    """
     x = as_tensor(x)
     if rate <= 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
+    if rows is None:
+        kept = rng.random(x.data.shape) >= rate
+    else:
+        b = x.data.shape[0]
+        kept = (rng.random((b, length) + x.data.shape[1:]) >= rate)[
+            np.arange(b), rows]
+    keep = kept.astype(x.data.dtype) / (1.0 - rate)
     out = Tensor(x.data * keep)
 
     def backward(g):

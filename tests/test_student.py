@@ -381,3 +381,117 @@ def test_student_gradients_match_finite_differences():
     report = finite_diff_check(loss_fn, p.as_dict(), rel_tol=1e-4,
                                max_coords=6, rng=np.random.default_rng(0))
     assert report.passed, str(report)
+
+
+# ---------------------------------------------------------------------------
+# the last block computes only the anchor rows
+# ---------------------------------------------------------------------------
+
+def reference_logits(x, x_c, x_f, p, train, seed, step, fused, fusion):
+    """Every position through every block, then the anchor rows."""
+    h = encode(x, x_c, x_f, p, train=train, seed=seed, step=step)
+    real = x != 0
+    h_star = T.take_positions(h, x.shape[1] - 1 - np.argmax(real[:, ::-1], 1))
+    if fusion == "add":
+        h_star = h_star + fused
+    elif fusion == "multi":
+        h_star = h_star * fused
+    elif fusion == "cat":
+        h_star = T.concat([h_star, fused], axis=-1) @ p.W_cat
+    return h_star @ T.swapaxes(p.item_emb, 0, 1)
+
+
+def _grads(p, logits, teacher_logits, targets):
+    for t in p.as_dict().values():
+        t.grad = None
+    loss = joint_loss(kd_loss(teacher_logits, logits, 3.0),
+                      rec_loss(logits, targets), 0.2)
+    loss.backward()
+    return {k: v.grad for k, v in p.as_dict().items()}
+
+
+@pytest.mark.parametrize("fusion", ["stkd", "add", "cat", "multi"])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("train", [False, True])
+@pytest.mark.parametrize("b", [1, 5])
+def test_anchor_rows_match_the_full_encoder(b, train, layers, fusion):
+    p = micro(n_takeaways=9, n_regions=4, n=6, d=8, heads=2, layers=layers,
+              seed=layers, dropout=0.3)
+    rng = np.random.default_rng(10 * layers + b)
+    for t in p.as_dict().values():
+        t.data[:] = rng.standard_normal(t.data.shape) * 0.4
+    for name, rows_ in p.pad_frozen_rows().items():
+        getattr(p, name).data[rows_] = 0.0
+    # pad-first rows, a trailing pad (anchor not last), one real item only
+    x = np.array([[0, 0, 3, 5, 2, 7], [4, 1, 9, 2, 6, 8], [0, 2, 5, 0, 0, 0],
+                  [0, 0, 0, 0, 0, 6], [1, 0, 3, 0, 8, 0]])[:b]
+    x_c = rng.integers(1, 5, size=x.shape) * (x != 0)
+    x_f = rng.integers(1, 17, size=x.shape) * (x != 0)
+    fused = (Tensor(rng.standard_normal((b, p.d)), requires_grad=True)
+             if fusion != "stkd" else None)
+    teacher_logits = rng.standard_normal((b, 10))
+    targets = rng.integers(1, 10, size=b)
+    kw = dict(train=train, seed=4, step=7, fused=fused, fusion=fusion)
+
+    want = reference_logits(x, x_c, x_f, p, **kw)
+    want_grads = _grads(p, want, teacher_logits, targets)
+    got = predict_logits(x, x_c, x_f, p, **kw)
+    got_grads = _grads(p, got, teacher_logits, targets)
+
+    if b >= 2:
+        np.testing.assert_array_equal(got.data, want.data)
+    else:   # one anchor row goes through BLAS's one-row path
+        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-14)
+    assert got_grads.keys() == want_grads.keys()
+    for name, g in got_grads.items():
+        if want_grads[name] is None:
+            assert g is None, name
+        else:
+            np.testing.assert_allclose(g, want_grads[name], rtol=0,
+                                       atol=1e-12, err_msg=name)
+
+
+def test_encode_returns_anchor_rows_only_when_asked():
+    p = micro(n_takeaways=10, n=4, dropout=0.5)
+    x = np.array([[0, 3, 5, 2], [1, 2, 0, 0]])
+    zc = np.zeros((2, 4), int)
+    assert encode(x, zc, zc, p).data.shape == (2, 4, p.d)
+    got = encode(x, zc, zc, p, rows=np.array([3, 1]))
+    assert got.data.shape == (2, p.d)
+
+
+# ---------------------------------------------------------------------------
+# recommend
+# ---------------------------------------------------------------------------
+
+def test_recommend_rejects_k_below_one():
+    p = micro(n_takeaways=5)
+    zc = np.zeros(4, int)
+    for k in (0, -1):
+        with pytest.raises(InvalidArgumentError):
+            recommend(np.array([0, 1, 2, 3]), zc, zc, p, k=k)
+
+
+def test_recommend_k_beyond_vocabulary_returns_every_item_once():
+    p = micro(n_takeaways=5)
+    zc = np.zeros(4, int)
+    out = recommend(np.array([0, 1, 2, 3]), zc, zc, p, k=10)
+    assert sorted(i for i, _ in out) == [1, 2, 3, 4, 5]
+    probs = [prob for _, prob in out]
+    assert probs == sorted(probs, reverse=True)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 8])
+def test_recommend_ties_at_the_cut_follow_id_order(k):
+    p = micro(n_takeaways=8)
+    rng = np.random.default_rng(5)
+    p.item_emb.data[1:] = rng.standard_normal((8, p.d))
+    p.item_emb.data[[2, 4, 5, 7]] = p.item_emb.data[3]   # items 2-5, 7 tie
+    x, zc = np.array([0, 1, 6, 3]), np.zeros(4, int)
+    probs, _ = predict_scores(x, zc, zc, p)
+    row = probs.data[0]
+    assert len(set(row[[2, 3, 4, 5, 7]])) == 1
+    want = np.argsort(-row[1:], kind="stable")[:k] + 1
+    out = recommend(x, zc, zc, p, k=k)
+    assert [i for i, _ in out] == want.tolist()
+    assert [prob for _, prob in out] == row[want].tolist()

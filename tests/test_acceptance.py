@@ -13,7 +13,6 @@ import pytest
 from stkd import tensor as T
 from stkd.config import TrainConfig
 from stkd.events import ingest_events
-from stkd.gradcheck import finite_diff_check
 from stkd.graph import Subgraph, build_stkg, sample_subgraph
 from stkd.metrics import ndcg_at_k, rank_of_target
 from stkd.optim import Adam
@@ -27,6 +26,8 @@ from stkd.synthetic import SyntheticConfig, generate_synthetic
 from stkd.teacher import (TeacherParams, pretrain_loss, pretrain_step,
                           teacher_optimizer)
 from stkd.tensor import Tensor
+
+from gradcheck import finite_diff_check
 
 
 def announce(capsys, index: int, name: str, ok: bool, evidence: str) -> None:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from stkd.cli import main
+from stkd.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +96,44 @@ def test_ablate_fusion_command(workspace, capsys):
     assert summary["add"]["teacher_forwards"] > 0
     assert (out / "fusion_stkd.json").exists()
     assert (out / "fusion_add.json").exists()
+
+
+def test_sweep_command(workspace, capsys):
+    root, out, synth, train = workspace
+    summary = run(capsys, "sweep", "--config", train,
+                  "--strategy", "temperature")
+    taus = (1.0, 3.0, 5.0, 7.0, 9.0)
+    assert set(summary) == {f"temperature={t}" for t in taus}
+    for label, row in summary.items():
+        assert set(row) == {"hr@10", "ndcg@10"}
+    for t in taus:
+        assert (out / f"sweep_temperature_{t}.json").exists()
+
+
+def test_sweep_axis_is_one_value():
+    parse = build_parser().parse_args
+    assert parse(["sweep"]).strategy == "temperature"
+    assert parse(["sweep", "--strategy", "fanouts"]).strategy == "fanouts"
+
+
+def test_prepare_writes_the_configured_dataset_path(workspace, capsys,
+                                                    tmp_path):
+    """Every later stage reads ``dataset_path``, so ``prepare`` writes the
+    dataset there and not to ``<out>/dataset.npz``."""
+    root, out, synth, train = workspace
+    alt = tmp_path / "alt"
+    cfg = json.loads((root / "train.json").read_text())
+    cfg.update(out_dir=str(alt), dataset_path=str(tmp_path / "elsewhere" /
+                                                  "ds.npz"))
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(cfg), encoding="utf-8")
+    run(capsys, "gen-synth", "--config", synth, "--out-dir", str(alt))
+    prep = run(capsys, "prepare", "--config", str(moved))
+    assert (tmp_path / "elsewhere" / "ds.npz").exists()
+    assert not (alt / "dataset.npz").exists()
+    dist = run(capsys, "distill", "--config", str(moved), "--variant", "no_kd")
+    assert not dist["aborted"]
+    assert prep["rows"] > 0
 
 
 def test_seed_override_changes_artifacts(workspace, capsys, tmp_path):

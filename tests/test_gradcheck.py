@@ -3,8 +3,9 @@
 import numpy as np
 
 from stkd import tensor as T
-from stkd.gradcheck import finite_diff_check
 from stkd.tensor import Tensor
+
+from gradcheck import finite_diff_check
 
 
 def test_passes_on_correct_gradient():

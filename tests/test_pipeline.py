@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stkd import pipeline
 from stkd.config import TrainConfig
 from stkd.errors import (ConsistencyError, InvalidArgumentError,
                          VocabMismatchError)
@@ -372,3 +373,57 @@ def test_sweep_temperature_labels(world):
     assert set(reports) == {f"temperature={t}" for t in (1.0, 3.0, 5.0, 7.0, 9.0)}
     for label, rep in reports.items():
         assert rep.config["temperature"] == float(label.split("=")[1])
+
+
+@pytest.fixture
+def teacher_calls(monkeypatch):
+    """The fanouts of every teacher a study pre-trains; each one reports
+    1e6 training seconds, so the arms charged for it stand out."""
+    calls = []
+    real = pipeline._teacher_and_signal
+
+    def counted(cfg, *args):
+        calls.append(cfg.fanouts)
+        result, signal = real(cfg, *args)
+        result.train_seconds = 1e6
+        return result, signal
+
+    monkeypatch.setattr(pipeline, "_teacher_and_signal", counted)
+    return calls
+
+
+def test_sweep_fanouts_labels(world, teacher_calls):
+    dataset, stkg, vocab = world
+    reports = sweep(tiny_cfg(epochs=1), dataset, stkg, vocab.n_users,
+                    vocab.n_takeaways, vocab.n_regions, parameter="fanouts")
+    grid = ((5, 5), (10, 10), (15, 15), (20, 20))
+    assert list(reports) == [f"fanouts={f}" for f in grid]
+    for label, rep in reports.items():
+        assert label == f"fanouts={tuple(rep.config['fanouts'])}"
+        assert rep.train_seconds > 1e6
+    # the fanouts shape the subgraphs: one teacher per setting
+    assert teacher_calls == list(grid)
+
+
+def test_study_teacher_is_trained_for_and_charged_to_its_readers(
+        world, teacher_calls):
+    dataset, stkg, vocab = world
+    args = (dataset, stkg, vocab.n_users, vocab.n_takeaways, vocab.n_regions)
+    reports = ablate(tiny_cfg(epochs=1), *args,
+                     variants=("full", "no_kd", "no_sp", "no_sp_kd"))
+    assert teacher_calls == [(4, 4)]
+    charged = {v for v, rep in reports.items() if rep.train_seconds > 1e6}
+    assert charged == {"full", "no_sp"}
+
+    # with alpha = 0 only the fusion arms read the teacher
+    teacher_calls.clear()
+    reports = ablate_fusion(tiny_cfg(epochs=1, alpha=0.0), *args,
+                            strategies=("stkd", "add"))
+    assert teacher_calls == [(4, 4)]
+    assert reports["stkd"].train_seconds < 1e6 < reports["add"].train_seconds
+    assert reports["stkd"].counts.get("teacher_forwards", 0) == 0
+
+    teacher_calls.clear()
+    reports = sweep(tiny_cfg(epochs=1, alpha=0.0), *args)
+    assert teacher_calls == []
+    assert all(rep.train_seconds < 1e6 for rep in reports.values())

@@ -5,12 +5,13 @@ import pytest
 
 from stkd import tensor as T
 from stkd.errors import (ConfigError, InvalidArgumentError, InvalidSampleError)
-from stkd.gradcheck import finite_diff_check
 from stkd.student import (StudentParams, embed_sequence, encode, joint_loss,
                           kd_loss, predict_logits, predict_scores, rec_loss,
                           recommend,
                           score_items, spatial_position_embedding)
 from stkd.tensor import Tensor
+
+from gradcheck import finite_diff_check
 
 
 def micro(n_takeaways=6, n_regions=4, n=4, d=8, heads=2, layers=2, seed=0,

@@ -8,7 +8,6 @@ from stkd import tensor as T
 from stkd.config import STREAM_SHUFFLE, TrainConfig, rng_for
 from stkd.errors import ConfigError, InvalidSampleError
 from stkd.events import ingest_events
-from stkd.gradcheck import finite_diff_check
 from stkd.graph import Subgraph, build_stkg
 from stkd.instrument import Counters
 from stkd.pipeline import SubgraphProvider, build_teacher
@@ -18,6 +17,8 @@ from stkd.teacher import (TeacherParams, gnn_forward, pretrain_loss,
                           pretrain_step, soft_labels, teacher_forward,
                           teacher_optimizer, user_gate)
 from stkd.tensor import Tensor
+
+from gradcheck import finite_diff_check
 
 
 def subgraph(nodes, centers, user_index, edges):

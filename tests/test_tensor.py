@@ -8,7 +8,8 @@ import pytest
 
 from stkd import tensor as T
 from stkd.errors import InvalidArgumentError
-from stkd.gradcheck import finite_diff_check
+
+from gradcheck import finite_diff_check
 
 RNG = np.random.default_rng(7)
 TOL = 1e-4

@@ -5,7 +5,9 @@ A checkpoint is a ``teacher`` or ``student`` artifact (see
 of the builder kwargs needed to rebuild the parameter object with matching
 shapes and the content hash of the vocabulary the model was trained against.
 Loading refuses to proceed when the caller supplies a different hash, because
-item/region ids would silently mean different things.
+item/region ids would silently mean different things.  A loaded model only
+predicts: its parameters do not require gradients, so its forward passes
+record no autodiff tape.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ def _restore(params, arrays, path) -> None:
                 f"{path}: shape mismatch for {name}: "
                 f"{arrays[name].shape} vs {tensor.data.shape}")
         tensor.data[:] = arrays[name]
+        tensor.requires_grad = False
 
 
 def load_teacher(path, expected_vocab_hash: str | None = None):

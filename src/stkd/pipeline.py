@@ -13,14 +13,16 @@ loop ``_fit`` (seeded shuffle, divergence abort, early stopping on
 validation NDCG@10, best-snapshot restore) and differ only in the step and
 validation closures they hand it.  Evaluation ranks each user's
 held-out target against sampled negatives and reports HR@k / NDCG@k with
-wall-clock timing split into training and prediction phases.
+wall-clock timing split into training and prediction phases.  Every pass
+that nothing backpropagates through (validation, evaluation, soft labels,
+the fusion readout in a training step) runs with the tape off.
 
 The three studies (``ablate``, ``ablate_fusion``, ``sweep``) only name
 their arms, each a ``(TrainConfig, variant, fusion)`` triple, and run them
 through the one study loop ``_study``.  It alone decides when a teacher
 exists (one per ``fanouts`` setting, pre-trained only if an arm reads it
-through KD or a fusion readout) and charges its training time to exactly
-the arms that read it."""
+through KD or a fusion readout, with soft labels only if an arm distills)
+and charges its training time to exactly the arms that read it."""
 
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from .student import (StudentParams, joint_loss, kd_loss, predict_logits,
                       predict_scores, rec_loss)
 from .teacher import (TeacherParams, pretrain_step, teacher_forward,
                       teacher_optimizer, teacher_readout)
-from .tensor import CLAMP, Tensor
+from .tensor import CLAMP, Tensor, no_tape
 
 SOFT_LABEL_FORMAT_VERSION = 2
 FUSION_STRATEGIES = ("stkd", "add", "cat", "multi")
@@ -248,12 +250,14 @@ def _ranked_metrics(score_rows, dataset: SequenceDataset, rows: np.ndarray,
                     n_takeaways: int) -> MetricAccumulator:
     """Accumulate HR/NDCG over ``rows``.
 
-    ``score_rows(batch_rows) -> (b, |V|+1) ndarray`` produces model scores;
-    everything else (negative sampling, ranking) is model-agnostic.
+    ``score_rows(batch_rows) -> (b, |V|+1) ndarray`` produces model scores,
+    with the tape off; everything else (negative sampling, ranking) is
+    model-agnostic.
     """
     acc = MetricAccumulator(k_list=tuple(k_list))
     for batch in _batches(rows, 256):
-        scores = score_rows(batch)
+        with no_tape():
+            scores = score_rows(batch)
         for i, row in enumerate(batch):
             user = int(dataset.user[row])
             target = int(dataset.target[row])
@@ -326,10 +330,11 @@ def compute_soft_labels(params: TeacherParams, provider: SubgraphProvider,
     if rows is None:
         rows = dataset.rows("train")
     out = np.zeros((rows.size, params.n_takeaways + 1))
-    for start in range(0, rows.size, batch_size):
-        batch = rows[start:start + batch_size]
-        probs = teacher_forward(provider.batch(batch), params, counters)
-        out[start:start + batch.size] = probs.data
+    with no_tape():
+        for start in range(0, rows.size, batch_size):
+            batch = rows[start:start + batch_size]
+            probs = teacher_forward(provider.batch(batch), params, counters)
+            out[start:start + batch.size] = probs.data
     return rows.astype(np.int64), out
 
 
@@ -443,7 +448,8 @@ def distill(cfg: TrainConfig, dataset: SequenceDataset, n_takeaways: int,
     def step(batch, i):
         fused = None
         if fusion != "stkd":
-            fused = fusion_readout(batch)
+            with no_tape():
+                fused = fusion_readout(batch)
             if isinstance(fused, Tensor):
                 fused = Tensor(fused.data)   # frozen teacher features
         logits = predict_logits(
@@ -512,10 +518,15 @@ def evaluate(params: StudentParams, dataset: SequenceDataset,
 # ---------------------------------------------------------------------------
 
 def _teacher_and_signal(cfg: TrainConfig, dataset: SequenceDataset,
-                        stkg: Stkg, n_users: int, n_takeaways: int):
+                        stkg: Stkg, n_users: int, n_takeaways: int,
+                        with_signal: bool):
+    """A pre-trained teacher, and its soft-label signal if ``with_signal``
+    (else None)."""
     provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed)
     result = pretrain_teacher(cfg, dataset, stkg, n_users, n_takeaways,
                               provider=provider)
+    if not with_signal:
+        return result, None
     rows, probs = compute_soft_labels(result.params, provider, dataset)
     return result, TeacherSignal(rows, probs)
 
@@ -525,20 +536,26 @@ def _study(dataset: SequenceDataset, stkg: Stkg, n_users: int,
     """One report per arm; ``arms`` maps a label to ``(cfg, variant, fusion)``.
 
     A teacher is pre-trained once per ``fanouts`` setting, and only if an
-    arm reads it: through KD (alpha > 0) or as a fusion readout.  Its
-    training time is charged to exactly the arms that read it.  Every arm
-    evaluates with its own counters, and a fusion arm samples through its
-    own provider, so ``counts`` shows what that arm asked of the teacher.
+    arm reads it: through KD (alpha > 0) or as a fusion readout; its soft
+    labels are computed only if an arm of that setting distills from them.
+    Its training time is charged to exactly the arms that read it.  Every
+    arm evaluates with its own counters, and a fusion arm samples through
+    its own provider, so ``counts`` shows what that arm asked of the teacher.
     """
+    def distills(cfg, variant, fusion):
+        return fusion == "stkd" and variant_alpha(cfg, variant) > 0.0
+
+    kd_fanouts = {arm[0].fanouts for arm in arms.values() if distills(*arm)}
     teachers: dict[tuple[int, ...], tuple] = {}
     reports: dict[str, MetricsReport] = {}
     for label, (cfg, variant, fusion) in arms.items():
         counters = Counters()
         teacher = signal = readout = None
-        if fusion != "stkd" or variant_alpha(cfg, variant) > 0.0:
+        if fusion != "stkd" or distills(cfg, variant, fusion):
             if cfg.fanouts not in teachers:
                 teachers[cfg.fanouts] = _teacher_and_signal(
-                    cfg, dataset, stkg, n_users, n_takeaways)
+                    cfg, dataset, stkg, n_users, n_takeaways,
+                    cfg.fanouts in kd_fanouts)
             teacher, signal = teachers[cfg.fanouts]
         if fusion != "stkd":
             provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed,

@@ -311,7 +311,8 @@ def recommend(x, x_c, x_f, params: StudentParams, k: int = 10):
     first and ties in id order; min(k, |V|) pairs, never the padding id 0."""
     if k < 1:
         raise InvalidArgumentError(f"k must be at least 1, got {k}")
-    probs, _ = predict_scores(x, x_c, x_f, params)
+    with T.no_tape():
+        probs, _ = predict_scores(x, x_c, x_f, params)
     items = probs.data[0, 1:]                 # column j holds item id j + 1
     k = min(k, items.size)
     # the k-th largest value, then a stable sort of everything at or above

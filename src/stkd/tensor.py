@@ -4,9 +4,19 @@ Every model in this package builds its forward pass from the primitives here;
 `Tensor.backward()` then fills `.grad` on any tensor created with
 `requires_grad=True`. Gradient scatter/accumulation is index-ordered, so runs
 are reproducible under a fixed seed.
+
+An op records itself on the tape only if an input requires a gradient, and
+only while the tape is on. Inside a `no_tape()` block the same primitives
+compute the same values but link nothing, so each intermediate is freed as
+soon as the next op has read it; evaluation, soft labels and serving run
+there, and so does anything built from parameters that do not require
+gradients (a loaded checkpoint). `backward()` refuses a root that was built
+that way, since no gradient could reach a parameter from it.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -85,6 +95,10 @@ class Tensor:
         """Backpropagate from a scalar output through the recorded tape."""
         if self.data.size != 1:
             raise InvalidArgumentError("backward() requires a scalar tensor")
+        if not self.requires_grad:
+            raise InvalidArgumentError(
+                "backward() from a tensor that does not require grad: it was "
+                "built inside no_tape() or from constants only")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack = [(self, False)]
@@ -113,8 +127,23 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_taping = True
+
+
+@contextmanager
+def no_tape():
+    """Run ops without recording the tape; the previous state comes back on
+    exit, also after an exception and when blocks nest."""
+    global _taping
+    previous, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = previous
+
+
 def _link(out: Tensor, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
-    if any(p.requires_grad or p._parents for p in parents):
+    if _taping and any(p.requires_grad or p._parents for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -419,12 +448,13 @@ def masked_softmax(scores, valid=None, axis: int = -1) -> Tensor:
         vmask = np.ones(scores.data.shape, dtype=bool)
     else:
         vmask = np.broadcast_to(np.asarray(valid, dtype=bool), scores.data.shape)
-    neg = np.where(vmask, scores.data, -np.inf)
-    m = neg.max(axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.where(vmask, np.exp(neg - m), 0.0)
-    s = e.sum(axis=axis, keepdims=True)
-    y = e / np.maximum(s, CLAMP)
+    # one fresh array, updated in place (as in ``log_softmax``)
+    y = np.where(vmask, scores.data, -np.inf)
+    m = y.max(axis=axis, keepdims=True)
+    y -= np.where(np.isfinite(m), m, 0.0)
+    np.exp(y, out=y)
+    np.copyto(y, 0.0, where=~vmask)
+    y /= np.maximum(y.sum(axis=axis, keepdims=True), CLAMP)
     out = Tensor(y)
 
     def backward(g):
@@ -487,7 +517,9 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     var = (c * c).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = c * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    y = xhat * gain.data
+    y += bias.data
+    out = Tensor(y)
 
     def backward(g):
         reduce_axes = tuple(range(g.ndim - 1))

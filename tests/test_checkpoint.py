@@ -6,7 +6,7 @@ import pytest
 from stkd.checkpoint import (load_arrays, load_student, load_teacher,
                              save_checkpoint)
 from stkd.errors import ConsistencyError, VocabMismatchError
-from stkd.student import StudentParams
+from stkd.student import StudentParams, predict_scores
 from stkd.teacher import TeacherParams
 
 HASH_A = "a" * 64
@@ -66,3 +66,25 @@ def test_parameter_set_mismatch_detected(tmp_path):
     np.savez(path, **payload)
     with pytest.raises(ConsistencyError, match="W_SP"):
         load_student(path)
+
+
+def test_loaded_model_only_predicts(tmp_path):
+    p = StudentParams(n_takeaways=6, n_regions=3, n=4, d=8, seed=5)
+    path = tmp_path / "student.npz"
+    save_checkpoint(path, p, p.build_config(), HASH_A)
+    q, _, _ = load_student(path)
+    assert not any(t.requires_grad for t in q.as_dict().values())
+    x = np.array([[0, 2, 5, 1], [3, 4, 6, 2]])
+    x_c, x_f = np.minimum(x, 3), np.minimum(x, 2)
+    probs, logits = predict_scores(x, x_c, x_f, q)
+    for t in (probs, logits):
+        assert t._parents == () and not t.requires_grad
+    # the same numbers as the model that was saved, where the tape runs
+    want, _ = predict_scores(x, x_c, x_f, p)
+    assert want._parents
+    assert probs.data.tobytes() == want.data.tobytes()
+    t_p = TeacherParams(n_entities=12, n_relations=5, n=4, d=8,
+                        n_users=3, n_takeaways=6, seed=2)
+    save_checkpoint(tmp_path / "teacher.npz", t_p, t_p.build_config(), HASH_A)
+    t_q, _, _ = load_teacher(tmp_path / "teacher.npz")
+    assert not any(t.requires_grad for t in t_q.as_dict().values())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stkd import pipeline
+from stkd import optim, pipeline
 from stkd.config import TrainConfig
 from stkd.errors import (ConsistencyError, InvalidArgumentError,
                          VocabMismatchError)
@@ -18,7 +18,7 @@ from stkd.pipeline import (ABLATION_VARIANTS, FUSION_STRATEGIES,
                            variant_alpha)
 from stkd.sequences import build_sequences
 from stkd.synthetic import SyntheticConfig, generate_synthetic
-from stkd.teacher import teacher_readout
+from stkd.teacher import teacher_forward, teacher_readout
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +168,19 @@ def test_soft_label_cache_round_trip(pretrained, world, tmp_path):
         load_soft_labels(path, "0" * 64)
 
 
+def test_soft_labels_match_a_taped_teacher_forward(pretrained, world):
+    result, prov, _ = pretrained
+    dataset, _, _ = world
+    rows = dataset.rows("train")[:150]
+    _, probs = compute_soft_labels(result.params, prov, dataset, rows=rows,
+                                   batch_size=64)
+    taped = [teacher_forward(prov.batch(rows[i:i + 64]), result.params)
+             for i in range(0, rows.size, 64)]
+    assert all(t._parents for t in taped)
+    want = np.concatenate([t.data for t in taped])
+    assert probs.tobytes() == want.tobytes()
+
+
 def test_teacher_signal_missing_row_raises(pretrained, world):
     result, prov, _ = pretrained
     dataset, _, _ = world
@@ -264,6 +277,50 @@ def test_distill_determinism(world):
     assert a.loss_trace == b.loss_trace
     for name, t in a.params.as_dict().items():
         np.testing.assert_array_equal(t.data, b.params.as_dict()[name].data)
+
+
+@pytest.fixture
+def missing_grads(monkeypatch):
+    """Per optimizer step, the names of the parameters without a gradient."""
+    missing = []
+    real = optim.Adam.step
+
+    def recording(self):
+        missing.append({n for n, t in self.params.items() if t.grad is None})
+        return real(self)
+
+    monkeypatch.setattr(optim.Adam, "step", recording)
+    return missing
+
+
+def test_steps_after_validation_still_record_the_tape(pretrained, world,
+                                                      missing_grads):
+    # validation (and the fusion readout in every step) runs with the tape
+    # off; the steps of the second epoch come right after the first
+    # epoch's validation
+    teacher, prov, _ = pretrained
+    dataset, stkg, vocab = world
+    cfg = tiny_cfg(epochs=2, patience=2)
+    per_epoch = -(-dataset.rows("train").size // cfg.batch_size)
+    for t in teacher.params.as_dict().values():
+        t.grad = None
+
+    def readout(rows):
+        return teacher_readout(prov.batch(rows), teacher.params)
+
+    res = distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
+                  fusion="cat", fusion_readout=readout)
+    assert res.epochs_run == 2
+    assert len(missing_grads) == 2 * per_epoch
+    assert all(m == set() for m in missing_grads)
+    assert all(t.grad is None for t in teacher.params.as_dict().values())
+
+    missing_grads.clear()
+    res = pretrain_teacher(cfg, dataset, stkg, vocab.n_users,
+                           vocab.n_takeaways)
+    assert res.epochs_run == 2
+    assert len(missing_grads) == 2 * per_epoch
+    assert all(m == set() for m in missing_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -427,3 +484,31 @@ def test_study_teacher_is_trained_for_and_charged_to_its_readers(
     reports = sweep(tiny_cfg(epochs=1, alpha=0.0), *args)
     assert teacher_calls == []
     assert all(rep.train_seconds < 1e6 for rep in reports.values())
+
+
+def test_fusion_study_without_kd_computes_no_soft_labels(world, monkeypatch):
+    dataset, stkg, vocab = world
+    args = (dataset, stkg, vocab.n_users, vocab.n_takeaways, vocab.n_regions)
+    cfg = tiny_cfg(epochs=1, alpha=0.0)
+    calls = []
+    real_labels = pipeline.compute_soft_labels
+    real_teacher = pipeline._teacher_and_signal
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return real_labels(*a, **kw)
+
+    monkeypatch.setattr(pipeline, "compute_soft_labels", counted)
+    reports = ablate_fusion(cfg, *args)
+    assert calls == []
+
+    # the same study computing the soft labels nothing reads gives the same
+    # reports
+    monkeypatch.setattr(pipeline, "_teacher_and_signal",
+                        lambda *a: real_teacher(*a[:-1], True))
+    unread = ablate_fusion(cfg, *args)
+    assert calls == [1]
+    for s in FUSION_STRATEGIES:
+        assert reports[s].hr == unread[s].hr
+        assert reports[s].ndcg == unread[s].ndcg
+        assert reports[s].counts == unread[s].counts

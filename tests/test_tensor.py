@@ -374,6 +374,61 @@ def test_dropout_on_gathered_rows_keeps_the_full_draw():
 
 
 # ---------------------------------------------------------------------------
+# the tape switch
+# ---------------------------------------------------------------------------
+
+def _every_op(table, w, gain, bias):
+    """A small forward through the primitives the models run; returns every
+    intermediate, the scalar loss last."""
+    h = T.take_rows(table, [3, 0, 3, 1])
+    z = T.layer_norm(h @ w, gain, bias)
+    att = T.masked_softmax(z @ T.swapaxes(z, 0, 1) * 0.5,
+                           np.tril(np.ones((4, 4), dtype=bool)))
+    mixed = T.concat([att @ z, T.segment_sum(z, [1, 0, 1, 2], 4)], axis=1)
+    logp = T.log_softmax(T.relu(mixed) - T.tanh(mixed), np.arange(12) > 0,
+                         temperature=2.0)
+    loss = T.batch_cross_entropy(logp, [1, 5, 11, 2])
+    return [h, z, att, mixed, logp, loss]
+
+
+def _tapes() -> bool:
+    return bool((p((2,), seed=50) * 2.0)._parents)
+
+
+def test_no_tape_computes_the_same_values_and_links_nothing():
+    params = [p((5, 4), seed=51), p((4, 6), seed=52), p((6,), seed=53),
+              p((6,), seed=54)]
+    taped = _every_op(*params)
+    with T.no_tape():
+        free = _every_op(*params)
+    for a, b in zip(taped, free):
+        assert a.requires_grad and a._parents
+        assert b.data.tobytes() == a.data.tobytes()
+        assert b._parents == () and b._backward is None
+        assert not b.requires_grad
+    # no gradient could reach a parameter from such a root
+    with pytest.raises(InvalidArgumentError, match="require grad"):
+        free[-1].backward()
+    with pytest.raises(InvalidArgumentError, match="require grad"):
+        T.tsum(T.Tensor(np.ones(3))).backward()
+    taped[-1].backward()
+    assert all(t.grad is not None for t in params)
+
+
+def test_no_tape_restores_the_tape_after_a_raise_and_when_nested():
+    assert _tapes()
+    with pytest.raises(ValueError):
+        with T.no_tape():
+            raise ValueError("inside the block")
+    assert _tapes()
+    with T.no_tape():
+        with T.no_tape():
+            assert not _tapes()
+        assert not _tapes()
+    assert _tapes()
+
+
+# ---------------------------------------------------------------------------
 # no dead primitives
 # ---------------------------------------------------------------------------
 

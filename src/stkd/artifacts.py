@@ -62,25 +62,25 @@ def write_npz(path, kind: str, version: int, arrays: dict, meta: dict) -> None:
         np.savez(fh, **header, **arrays)
 
 
-def read_npz(path, kinds: tuple[str, ...], version: int,
+def read_npz(path, versions: dict[str, int],
              expected_vocab_hash: str | None = None):
-    """Read an artifact of one of ``kinds`` at ``version``; returns
-    ``(arrays, meta)``."""
-    wanted = " or ".join(kinds)
+    """Read an artifact of one of the kinds in ``versions``, at that kind's
+    format version; returns ``(arrays, meta)``."""
+    wanted = " or ".join(versions)
     try:
         with np.load(path, allow_pickle=False) as z:
             if "__kind__" not in z.files:
                 raise ConsistencyError(f"{path}: not a {wanted} file (no "
                                        "__kind__ entry: an older format?)")
             kind = str(z["__kind__"])
-            if kind not in kinds:
+            if kind not in versions:
                 raise ConsistencyError(
                     f"{path}: holds a {kind} artifact, expected {wanted}")
             found = int(z["__version__"])
-            if found != version:
+            if found != versions[kind]:
                 raise ConsistencyError(
                     f"{path}: {kind} format version {found} unsupported "
-                    f"(expected {version}); rebuild it")
+                    f"(expected {versions[kind]}); rebuild it")
             meta = json.loads(str(z["__meta__"]))
             arrays = {name: z[name] for name in meta.pop("arrays")}
             stored = meta["vocab_hash"]

@@ -17,12 +17,14 @@ from .errors import ConsistencyError
 from .student import StudentParams
 from .teacher import TeacherParams
 
-CHECKPOINT_FORMAT_VERSION = 2
+# Student format 3 holds each block's Wq/Wk/Wv as one (heads, d, d_head)
+# array (``b0_Wq``); format 2 kept one (d, d_head) array per head (``b0_Wq0``).
+CHECKPOINT_FORMAT_VERSIONS = {"teacher": 2, "student": 3}
 
 _KINDS = {TeacherParams: "teacher", StudentParams: "student"}
 
 __all__ = [
-    "CHECKPOINT_FORMAT_VERSION",
+    "CHECKPOINT_FORMAT_VERSIONS",
     "save_checkpoint",
     "load_arrays",
     "load_teacher",
@@ -32,7 +34,8 @@ __all__ = [
 
 def save_checkpoint(path, params, config: dict, vocab_hash: str) -> None:
     """Write ``params`` (a Teacher/Student parameter object) to ``path``."""
-    write_npz(path, _KINDS[type(params)], CHECKPOINT_FORMAT_VERSION,
+    kind = _KINDS[type(params)]
+    write_npz(path, kind, CHECKPOINT_FORMAT_VERSIONS[kind],
               {name: t.data for name, t in params.as_dict().items()},
               {"config": config, "vocab_hash": vocab_hash})
 
@@ -41,8 +44,9 @@ def load_arrays(path, expected_vocab_hash: str | None = None,
                 kinds: tuple[str, ...] = ("teacher", "student")):
     """Read a checkpoint of one of ``kinds``; returns ``(arrays, config,
     vocab_hash)``."""
-    arrays, meta = read_npz(path, kinds, CHECKPOINT_FORMAT_VERSION,
-                            expected_vocab_hash)
+    arrays, meta = read_npz(
+        path, {kind: CHECKPOINT_FORMAT_VERSIONS[kind] for kind in kinds},
+        expected_vocab_hash)
     return arrays, meta["config"], meta["vocab_hash"]
 
 

@@ -83,8 +83,9 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epochs", "batch_size", "n", "d", "heads", "layers", "gnn_layers",
                      "patience", "n_negatives"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+            low = 0 if name in ("epochs", "patience") else 1
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
         for name in ("lr", "temperature"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")

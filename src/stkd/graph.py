@@ -98,7 +98,7 @@ class Stkg:
     def load(cls, path, expected_vocab_hash: str | None = None) -> "Stkg":
         """Read a graph file; :func:`stkd.artifacts.read_npz` says what it
         refuses."""
-        arrays, meta = read_npz(path, ("graph",), GRAPH_FORMAT_VERSION,
+        arrays, meta = read_npz(path, {"graph": GRAPH_FORMAT_VERSION},
                                 expected_vocab_hash)
         meta["attr_entities"] = [tuple(key) for key in meta["attr_entities"]]
         return cls(**meta, **arrays)

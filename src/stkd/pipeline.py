@@ -346,7 +346,7 @@ def save_soft_labels(path, rows: np.ndarray, probs: np.ndarray,
 
 def load_soft_labels(path, expected_vocab_hash: str | None = None):
     """Read a soft-label cache; returns ``(rows, probs, vocab_hash)``."""
-    arrays, meta = read_npz(path, ("soft_labels",), SOFT_LABEL_FORMAT_VERSION,
+    arrays, meta = read_npz(path, {"soft_labels": SOFT_LABEL_FORMAT_VERSION},
                             expected_vocab_hash)
     return arrays["rows"], arrays["probs"], meta["vocab_hash"]
 

@@ -71,7 +71,7 @@ class SequenceDataset:
     @classmethod
     def load(cls, path, expected_vocab_hash: str | None = None
              ) -> "SequenceDataset":
-        arrays, meta = read_npz(path, ("dataset",), DATASET_FORMAT_VERSION,
+        arrays, meta = read_npz(path, {"dataset": DATASET_FORMAT_VERSION},
                                 expected_vocab_hash)
         return cls(**meta, **arrays)
 

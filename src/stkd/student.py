@@ -4,13 +4,15 @@ next-item prediction, and the distillation / supervised / joint losses.
 The input embedding sums three parts: item embeddings, a learned spatial
 position embedding E_SP = (region_emb[x_c] + dist_emb[x_f]) @ W_SP, and an
 absolute position table. Blocks are pre-normalization residual transformer
-layers with per-head projection matrices; attention is masked so a position
-sees only itself and earlier *real* (non-pad) positions. The prediction anchor
-is the last non-pad position's row, scored against the tied item-embedding
-table with the padding column removed from the distribution. Only that row is
-ever read, so the last block computes only it: its attention still reads
-every position, while its output projection, residual, second norm, FFN and
-dropouts run on the anchor rows alone, (b, d) instead of (b, n, d).
+layers; each holds its query, key and value projections as one (heads, d,
+d_head) array apiece, so every head is projected, attended and merged in one
+pass. Attention is masked so a position sees only itself and earlier *real*
+(non-pad) positions. The prediction anchor is the last non-pad position's
+row, scored against the tied item-embedding table with the padding column
+removed from the distribution. Only that row is ever read, so the last block
+computes only it: its attention still reads every position, while its output
+projection, residual, second norm, FFN and dropouts run on the anchor rows
+alone, (b, d) instead of (b, n, d).
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ class StudentParams:
     def __init__(self, n_takeaways: int, n_regions: int, n: int, d: int,
                  heads: int = 2, layers: int = 2, n_dist_buckets: int = 16,
                  dropout: float = 0.1, seed: int = 0):
-        if d % heads != 0:
-            raise ConfigError(f"d={d} must be divisible by heads={heads}")
         if min(n_takeaways, n, d, heads, layers) < 1:
             raise ConfigError("model dimensions must be positive")
+        if d % heads != 0:
+            raise ConfigError(f"d={d} must be divisible by heads={heads}")
         rng = rng_for(seed, STREAM_INIT_STUDENT)
 
         def init(*shape):
@@ -61,9 +63,9 @@ class StudentParams:
         self.blocks = []
         for _ in range(layers):
             blk = {
-                "Wq": [init(d, self.d_head) for _ in range(heads)],
-                "Wk": [init(d, self.d_head) for _ in range(heads)],
-                "Wv": [init(d, self.d_head) for _ in range(heads)],
+                "Wq": init(heads, d, self.d_head),
+                "Wk": init(heads, d, self.d_head),
+                "Wv": init(heads, d, self.d_head),
                 "Wo": init(d, d),
                 "ln1_g": Tensor(np.ones(d), requires_grad=True),
                 "ln1_b": Tensor(np.zeros(d), requires_grad=True),
@@ -84,11 +86,7 @@ class StudentParams:
                "pos_emb": self.pos_emb, "W_cat": self.W_cat}
         for l, blk in enumerate(self.blocks):
             for key, val in blk.items():
-                if isinstance(val, list):
-                    for i, t in enumerate(val):
-                        out[f"b{l}_{key}{i}"] = t
-                else:
-                    out[f"b{l}_{key}"] = val
+                out[f"b{l}_{key}"] = val
         return out
 
     def pad_frozen_rows(self) -> dict[str, list[int]]:
@@ -130,7 +128,7 @@ def _attention_mask(x: np.ndarray) -> np.ndarray:
     return causal[None, :, :] & key_real
 
 
-def attention_block(h: Tensor, blk: dict, mask: np.ndarray, d_head: int,
+def attention_block(h: Tensor, blk: dict, mask: np.ndarray,
                     train: bool = False, dropout: float = 0.0,
                     rng: np.random.Generator | None = None,
                     rows: np.ndarray | None = None) -> Tensor:
@@ -141,21 +139,18 @@ def attention_block(h: Tensor, blk: dict, mask: np.ndarray, d_head: int,
     position, and the output projection, residual, second norm, FFN and both
     dropouts run on the gathered rows alone.
     """
-    n = h.data.shape[-2]
+    b, n, d = h.data.shape
     if mask.shape[-1] != n:
         raise ConfigError(f"mask length {mask.shape[-1]} != sequence length "
                           f"{n}")
-    x_norm = T.layer_norm(h, blk["ln1_g"], blk["ln1_b"])
-    head_outs = []
-    scale = 1.0 / np.sqrt(d_head)
-    for Wq, Wk, Wv in zip(blk["Wq"], blk["Wk"], blk["Wv"]):
-        q = x_norm @ Wq
-        k = x_norm @ Wk
-        v = x_norm @ Wv
-        scores = (q @ T.swapaxes(k, -1, -2)) * scale
-        att = T.masked_softmax(scores, mask)
-        head_outs.append(att @ v)
-    heads = T.concat(head_outs, axis=-1)
+    # (b, 1, n, d) @ (heads, d, d_head): every head's projection at once
+    x_norm = T.reshape(T.layer_norm(h, blk["ln1_g"], blk["ln1_b"]),
+                       (b, 1, n, d))
+    q, k, v = (x_norm @ blk[w] for w in ("Wq", "Wk", "Wv"))
+    scale = 1.0 / np.sqrt(q.data.shape[-1])
+    scores = (q @ T.swapaxes(k, -1, -2)) * scale        # (b, heads, n, n)
+    att = T.masked_softmax(scores, mask[:, None])
+    heads = T.reshape(T.swapaxes(att @ v, 1, 2), (b, n, d))
     if rows is not None:
         heads = T.take_positions(heads, rows)
         h = T.take_positions(h, rows)
@@ -184,7 +179,7 @@ def encode(x, x_c, x_f, params: StudentParams, train: bool = False,
     mask = _attention_mask(x)
     last = len(params.blocks) - 1
     for i, blk in enumerate(params.blocks):
-        h = attention_block(h, blk, mask, params.d_head, train=train,
+        h = attention_block(h, blk, mask, train=train,
                             dropout=params.dropout, rng=rng,
                             rows=rows if i == last else None)
     return h

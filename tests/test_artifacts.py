@@ -60,15 +60,14 @@ LOADERS = {"dataset": SequenceDataset.load, "graph": Stkg.load,
            "teacher": load_teacher, "student": load_student,
            "soft_labels": load_soft_labels}
 
-# The header entries each kind carried before it gained __kind__.
+# The header entries each kind carried before it gained __kind__; the
+# student's parent layout is its format 2 instead (see ``per_head_student``).
 PARENT_HEADER = {
     "dataset": {"format_version": np.int64(1),
                 "vocab_hash": np.bytes_(HASH.encode())},
     "graph": {"format_version": np.int64(2),
               "vocab_hash": np.bytes_(HASH.encode())},
     "teacher": {"__format_version__": np.array(1),
-                "__config__": np.array("{}"), "__vocab_hash__": np.array(HASH)},
-    "student": {"__format_version__": np.array(1),
                 "__config__": np.array("{}"), "__vocab_hash__": np.array(HASH)},
     "soft_labels": {"format_version": np.array(1),
                     "vocab_hash": np.array(HASH)},
@@ -91,9 +90,31 @@ def next_version(payload):
     return payload
 
 
+def per_head_student(payload):
+    """A student checkpoint as format 2 wrote it: one (d, d_head) entry per
+    head (``b0_Wq0``, ``b0_Wq1``, ...) for each block's Wq, Wk and Wv."""
+    meta = json.loads(str(payload["__meta__"]))
+    arrays = {}
+    for name in meta["arrays"]:
+        if name.endswith(("_Wq", "_Wk", "_Wv")):
+            arrays.update({f"{name}{i}": w
+                           for i, w in enumerate(payload[name])})
+        else:
+            arrays[name] = payload[name]
+    meta["arrays"] = list(arrays)
+    return {"__kind__": payload["__kind__"], "__version__": np.int64(2),
+            "__meta__": np.str_(json.dumps(meta, sort_keys=True)), **arrays}
+
+
 def parent_layout(payload, kind):
+    if kind == "student":
+        return per_head_student(payload)
     arrays = {k: v for k, v in payload.items() if k not in HEADER}
     return {**arrays, **PARENT_HEADER[kind]}
+
+
+PARENT_ERROR = {**{kind: "__kind__" for kind in PARENT_HEADER},
+                "student": "student format version 2 unsupported"}
 
 
 def entry_removed(payload):
@@ -107,7 +128,8 @@ def object_array(payload):
     return payload
 
 
-# case -> (damage(path, kind), pattern the error message must match)
+# case -> (damage(path, kind), pattern the error message must match, or a
+# pattern per kind)
 CASES = {
     "truncated": (lambda path, kind: path.write_bytes(
         path.read_bytes()[:path.stat().st_size // 2]), "unreadable"),
@@ -118,7 +140,7 @@ CASES = {
     "next_version": (lambda path, kind: rewrite(path, next_version),
                      "version"),
     "parent_layout": (lambda path, kind: rewrite(
-        path, lambda p: parent_layout(p, kind)), "__kind__"),
+        path, lambda p: parent_layout(p, kind)), PARENT_ERROR),
     "entry_removed": (lambda path, kind: rewrite(path, entry_removed),
                       "not a file in the archive"),
     "object_array": (lambda path, kind: rewrite(path, object_array),
@@ -133,6 +155,8 @@ def test_damaged_artifact_is_refused(tmp_path, kind, case):
     write_artifact(kind, path)
     LOADERS[kind](path, HASH)          # intact, it loads
     damage, pattern = CASES[case]
+    if isinstance(pattern, dict):
+        pattern = pattern[kind]
     damage(path, kind)
     with pytest.raises(ConsistencyError, match=pattern):
         LOADERS[kind](path)
@@ -147,7 +171,9 @@ def test_teacher_and_student_checkpoints_do_not_swap(tmp_path):
         load_student(tmp_path / "student.npz")
 
 
-def test_evaluate_refuses_truncated_student(tmp_path, capsys):
+def distilled_workspace(tmp_path, capsys):
+    """A tiny corpus taken through distill and evaluate; returns the output
+    directory and the train config path."""
     out = tmp_path / "out"
     synth, train = tmp_path / "synth.json", tmp_path / "train.json"
     synth.write_text(json.dumps({"n_users": 20, "n_takeaways": 40,
@@ -162,12 +188,26 @@ def test_evaluate_refuses_truncated_student(tmp_path, capsys):
                  ["distill", "--config", str(train)],
                  ["evaluate", "--config", str(train)]):
         assert main(argv) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    return out, train
+
+
+def test_evaluate_refuses_truncated_student(tmp_path, capsys):
+    out, train = distilled_workspace(tmp_path, capsys)
     student = out / "student.npz"
     student.write_bytes(student.read_bytes()[:student.stat().st_size // 2])
-    capsys.readouterr()
     assert main(["evaluate", "--config", str(train)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "student.npz" in err
+
+
+def test_evaluate_refuses_a_per_head_student(tmp_path, capsys):
+    out, train = distilled_workspace(tmp_path, capsys)
+    rewrite(out / "student.npz", per_head_student)
+    assert main(["evaluate", "--config", str(train)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "student.npz" in err
+    assert "format version 2 unsupported (expected 3)" in err
 
 
 # ---------------------------------------------------------------------------

@@ -258,10 +258,18 @@ def test_distill_with_kd_needs_soft_labels(workspace, capsys, tmp_path):
     ("gen-synth", {"session_len": [2]}),
     ("gen-synth", {"copurchase_pairs": [[1, 2.0, 0.5]]}),
     ("gen-synth", {"copurchase_pairs": [[1, 2, "0.5"]]}),
-    ("gen-synth", {"copurchase_pairs": [[1, 2]]})])
+    ("gen-synth", {"copurchase_pairs": [[1, 2]]}),
+    ("prepare", {"heads": 0}),
+    ("prepare", {"batch_size": 0}),
+    ("prepare", {"n": 0}),
+    ("prepare", {"d": 0}),
+    ("prepare", {"layers": 0}),
+    ("prepare", {"gnn_layers": 0}),
+    ("prepare", {"n_negatives": 0}),
+    ("prepare", {"epochs": -1})])
 def test_bad_config_entry_reports_error(tmp_path, capsys, command, values):
-    """A wrongly typed value (or list entry) or an unknown key in a config
-    file exits 2 and names the key."""
+    """A wrongly typed value (or list entry), a size below 1, or an unknown
+    key in a config file exits 2 and names the key."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(values), encoding="utf-8")
     code = main([command, "--config", str(cfg),

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from stkd.cli import main
 from stkd.errors import DataQualityError
 from stkd.events import Vocab, ingest_events, parse_event_line
 
@@ -116,3 +117,129 @@ def test_parse_event_line_handles_edge_cases():
     assert parse_event_line(json.dumps({"user_id": "u"})) is None
     ev = parse_event_line(line(ts=5, category="c9").strip())
     assert ev.timestamp == 5 and ev.attributes == {"category": "c9"}
+
+
+# ---------------------------------------------------------------------------
+# awkward corpora through the whole command chain
+# ---------------------------------------------------------------------------
+
+CHAIN = ("prepare", "build-graph", "pretrain", "distill", "evaluate")
+CELLS = ["wt3mb5", "wt3q8y", "wt3mbh", "wt3q8z"]
+
+
+def corpus(n_users=8, per_user=6, seed=0):
+    """A well-formed corpus: every user buys ``per_user`` takeaways out of
+    10, at distinct rising timestamps."""
+    rng = np.random.default_rng(seed)
+    return [line(user=f"u{u}", item=f"t{rng.integers(10)}", ts=1000 + 60 * j,
+                 ugh=CELLS[u % 4], sgh=CELLS[int(rng.integers(4))],
+                 category=f"c{u % 3}")
+            for u in range(n_users) for j in range(per_user)]
+
+
+def run_chain(tmp_path, capsys, lines):
+    """Each command in turn until one fails; returns the exit codes and the
+    failing command's stderr. Any exit but 0, or 2 with ``error:``, fails."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "events.jsonl").write_text("".join(lines), encoding="utf-8")
+    train = tmp_path / "train.json"
+    train.write_text(json.dumps({
+        "epochs": 1, "batch_size": 16, "n": 4, "d": 8, "heads": 2,
+        "layers": 1, "gnn_layers": 1, "fanouts": [2, 2], "n_negatives": 5,
+        "alpha": 0.2, "out_dir": str(out)}), encoding="utf-8")
+    codes = []
+    for command in CHAIN:
+        codes.append(main([command, "--config", str(train)]))
+        err = capsys.readouterr().err
+        assert codes[-1] in (0, 2), (command, err)
+        if codes[-1]:
+            assert err.startswith("error:"), (command, err)
+            return codes, err
+    return codes, ""
+
+
+def test_chain_skips_a_malformed_minority(tmp_path, capsys):
+    lines = corpus()
+    bad = ["{\"user_id\": \"u1\", \"takeaway_id\"\n", "[1, 2, 3]\n", "null\n",
+           json.dumps({"user_id": "u2", "takeaway_id": "t1"}) + "\n",
+           line(user="u3", ts="noon"), line(user="u4", ts=-5),
+           line(user="u5", ts=None), "\x00\xff garbage\n"]
+    for i, b in enumerate(bad):
+        lines.insert(5 * i + 3, b)
+    codes, _ = run_chain(tmp_path, capsys, lines)
+    assert codes == [0] * len(CHAIN)
+
+
+def test_chain_stops_on_a_malformed_majority(tmp_path, capsys):
+    lines = corpus(n_users=2, per_user=2) + ["{oops\n"] * 5
+    codes, err = run_chain(tmp_path, capsys, lines)
+    assert codes == [2] and "malformed" in err
+
+
+def test_chain_drops_invalid_geohashes(tmp_path, capsys):
+    lines = corpus()
+    for i, (ugh, sgh) in enumerate([("", "wt3q8y"), ("wt3mb", "wt3q8y"),
+                                    ("wt3mba", "wt3q8y"), ("wt3mb5", "ilo000"),
+                                    ("wt3mb5", "wt3q8y0"), ("WT3MB5", " ")]):
+        lines.insert(4 * i + 1, line(user=f"u{i}", item="t99", ts=5000 + i,
+                                     ugh=ugh, sgh=sgh))
+    codes, _ = run_chain(tmp_path, capsys, lines)
+    assert codes == [0] * len(CHAIN)
+    vocab = json.loads((tmp_path / "out" / "vocab.json").read_text("utf-8"))
+    assert "t99" not in vocab["takeaways"]
+
+
+def test_chain_runs_on_equal_timestamps(tmp_path, capsys):
+    lines = [line(user=f"u{u}", item=f"t{(u + j) % 7}", ts=1000,
+                  ugh=CELLS[u % 4], sgh=CELLS[j % 4])
+             for u in range(6) for j in range(5)]
+    codes, _ = run_chain(tmp_path, capsys, lines)
+    assert codes == [0] * len(CHAIN)
+
+
+@pytest.mark.parametrize("per_user", [1, 2])
+def test_chain_runs_when_users_have_one_or_two_events(tmp_path, capsys,
+                                                      per_user):
+    short = [line(user=f"s{u}", item=f"t{u + j}", ts=2000 + j, ugh=CELLS[u % 4])
+             for u in range(6) for j in range(per_user)]
+    codes, _ = run_chain(tmp_path, capsys, corpus() + short)
+    assert codes == [0] * len(CHAIN)
+
+
+def test_chain_stops_when_no_user_has_a_second_event(tmp_path, capsys):
+    codes, err = run_chain(tmp_path, capsys, corpus(per_user=1))
+    assert codes == [0, 0, 2] and "no training rows" in err
+
+
+def test_chain_stops_when_every_line_is_dropped(tmp_path, capsys):
+    lines = [line(user=f"u{u}", item=f"t{j}", ts=1000 + j, ugh="nowhere")
+             for u in range(4) for j in range(4)]
+    codes, err = run_chain(tmp_path, capsys, lines)
+    assert codes == [0, 0, 2] and "no training rows" in err
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chain_survives_fuzzed_lines(tmp_path, capsys, seed):
+    # random damage to a third of the lines: truncation, a dropped or
+    # retyped field, a swapped geohash, a repeated timestamp
+    rng = np.random.default_rng(seed)
+    lines = corpus(n_users=10, seed=seed)
+    for i in rng.choice(len(lines), size=len(lines) // 3, replace=False):
+        rec = json.loads(lines[i])
+        kind = rng.integers(5)
+        if kind == 0:
+            lines[i] = lines[i][:int(rng.integers(1, len(lines[i]) - 1))] + "\n"
+            continue
+        key = str(rng.choice(sorted(rec)))
+        if kind == 1:
+            del rec[key]
+        elif kind == 2:
+            rec[key] = [None, 1.5, "", {"x": 1}, -1][int(rng.integers(5))]
+        elif kind == 3:
+            rec["shop_geohash6"] = rec["user_geohash6"][::-1]
+        else:
+            rec["timestamp"] = 1000
+        lines[i] = json.dumps(rec) + "\n"
+    codes, _ = run_chain(tmp_path, capsys, lines)
+    assert codes == [0] * len(CHAIN)

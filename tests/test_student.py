@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from stkd import tensor as T
+from stkd.config import STREAM_INIT_STUDENT, rng_for
 from stkd.errors import (ConfigError, InvalidArgumentError, InvalidSampleError)
-from stkd.student import (StudentParams, embed_sequence, encode, joint_loss,
-                          kd_loss, predict_logits, predict_scores, rec_loss,
-                          recommend,
+from stkd.student import (StudentParams, _attention_mask, attention_block,
+                          embed_sequence, encode, joint_loss, kd_loss,
+                          predict_logits, predict_scores, rec_loss, recommend,
                           score_items, spatial_position_embedding)
 from stkd.tensor import Tensor
 
@@ -26,6 +27,8 @@ def test_dimension_checks():
         micro(d=8, heads=3)
     with pytest.raises(ConfigError):
         micro(n=0)
+    with pytest.raises(ConfigError):
+        micro(heads=0)
     p = micro(d=8, heads=2)
     assert p.d_head == 4
 
@@ -382,6 +385,89 @@ def test_student_gradients_match_finite_differences():
     report = finite_diff_check(loss_fn, p.as_dict(), rel_tol=1e-4,
                                max_coords=6, rng=np.random.default_rng(0))
     assert report.passed, str(report)
+
+
+# ---------------------------------------------------------------------------
+# every head in one pass
+# ---------------------------------------------------------------------------
+
+def per_head_block(h, blk, mask, rows=None):
+    """The block with one (d, d_head) weight list entry per head: one
+    attention pass per head, heads concatenated before ``Wo``."""
+    x_norm = T.layer_norm(h, blk["ln1_g"], blk["ln1_b"])
+    head_outs = []
+    scale = 1.0 / np.sqrt(blk["Wq"][0].data.shape[-1])
+    for Wq, Wk, Wv in zip(blk["Wq"], blk["Wk"], blk["Wv"]):
+        q = x_norm @ Wq
+        k = x_norm @ Wk
+        v = x_norm @ Wv
+        scores = (q @ T.swapaxes(k, -1, -2)) * scale
+        att = T.masked_softmax(scores, mask)
+        head_outs.append(att @ v)
+    heads = T.concat(head_outs, axis=-1)
+    if rows is not None:
+        heads = T.take_positions(heads, rows)
+        h = T.take_positions(h, rows)
+    a = h + heads @ blk["Wo"]
+    a_norm = T.layer_norm(a, blk["ln2_g"], blk["ln2_b"])
+    return a + (T.relu(a_norm @ blk["ffn_W1"] + blk["ffn_b1"])
+                @ blk["ffn_W2"] + blk["ffn_b2"])
+
+
+def test_head_arrays_take_the_per_head_draws():
+    # a (heads, d, d_head) draw reads the stream as heads (d, d_head) draws,
+    # so Wq[h] is the array a per-head list held as its h-th entry
+    p = micro(d=8, heads=4, layers=1, seed=3)
+    rng = rng_for(3, STREAM_INIT_STUDENT)
+
+    def draw(*shape):
+        return np.clip(rng.normal(0.0, 0.02, size=shape), -0.04, 0.04)
+
+    for name in ("item_emb", "region_emb", "dist_emb", "W_SP", "pos_emb"):
+        draw(*getattr(p, name).data.shape)
+    for key in ("Wq", "Wk", "Wv"):
+        for i in range(4):
+            np.testing.assert_array_equal(p.blocks[0][key].data[i], draw(8, 2))
+    np.testing.assert_array_equal(p.blocks[0]["Wo"].data, draw(8, 8))
+
+
+@pytest.mark.parametrize("anchor", [False, True])
+@pytest.mark.parametrize("b", [1, 5])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_one_pass_block_matches_the_per_head_loop(heads, b, anchor):
+    p = micro(n_takeaways=9, n=6, d=8, heads=heads, layers=1, seed=heads)
+    rng = np.random.default_rng(10 * heads + b)
+    blk = p.blocks[0]
+    for t in blk.values():
+        t.data[:] = rng.standard_normal(t.data.shape) * 0.4
+    assert blk["Wq"].data.shape == (heads, 8, 8 // heads)
+    # per-head weights are the slices Wq[h], as separate leaves
+    ref = {key: ([Tensor(t.data[i].copy(), requires_grad=True)
+                  for i in range(heads)] if key in ("Wq", "Wk", "Wv")
+                 else Tensor(t.data.copy(), requires_grad=True))
+           for key, t in blk.items()}
+    x = np.array([[0, 0, 3, 5, 2, 7], [4, 1, 9, 2, 6, 8], [0, 2, 5, 0, 0, 0],
+                  [0, 0, 0, 0, 0, 6], [1, 0, 3, 0, 8, 0]])[:b]
+    mask = _attention_mask(x)
+    rows = (x.shape[1] - 1 - np.argmax((x != 0)[:, ::-1], axis=1)
+            if anchor else None)
+    h_data = rng.standard_normal((b, 6, 8))
+    h, h_ref = (Tensor(h_data, requires_grad=True) for _ in range(2))
+    got = attention_block(h, blk, mask, rows=rows)
+    want = per_head_block(h_ref, ref, mask, rows=rows)
+    assert got.data.tobytes() == want.data.tobytes()
+
+    weights = rng.standard_normal(got.data.shape)
+    T.tsum(got * weights).backward()
+    T.tsum(want * weights).backward()
+    pairs = [(h.grad, h_ref.grad, "h")]
+    for key, t in blk.items():
+        g = ref[key]
+        pairs.append((t.grad, np.stack([w.grad for w in g])
+                      if isinstance(g, list) else g.grad, key))
+    for g, g_ref, name in pairs:
+        assert g.shape == g_ref.shape, name
+        assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max(), name
 
 
 # ---------------------------------------------------------------------------

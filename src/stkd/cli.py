@@ -38,7 +38,7 @@ from pathlib import Path
 from .artifacts import read_json, write_json
 from .checkpoint import load_student, save_checkpoint
 from .config import TrainConfig, config_from_dict
-from .errors import ConfigError, StkdError
+from .errors import ConfigError, DataQualityError, StkdError
 from .events import ingest_events
 from .graph import Stkg, build_stkg, graph_stats
 from .instrument import Counters
@@ -121,6 +121,8 @@ def cmd_prepare(args) -> int:
     events, vocab, report = ingest_events(_events_path(cfg))
     dataset = build_sequences(events, vocab, n=cfg.n,
                               max_train_per_user=cfg.max_train_per_user)
+    if dataset.rows("train").size == 0:
+        raise DataQualityError(f"{_events_path(cfg)} yields no training rows")
     dataset.save(_dataset_path(cfg))
     save_vocab(vocab, out / "vocab.json")
     print(json.dumps({

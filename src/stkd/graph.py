@@ -10,6 +10,12 @@ relation id) in CSR form.
 User-takeaway triples come only from purchases visible to training: for users
 with at least three purchases the last two (the validation and test targets)
 are excluded. Attribute triples come from every cleaned event.
+
+A training sample's neighborhood is drawn hop by hop from its own generator,
+seeded by (seed, sid): each hop draws for all its entities above the fanout
+with one ``rng.integers`` call (Floyd's algorithm), and for fanouts up to 200
+those are exactly the draws of one ``rng.choice(..., replace=False)`` per
+entity in frontier order.
 """
 
 from __future__ import annotations
@@ -214,84 +220,105 @@ class Subgraph:
         return int(self.nodes.shape[0])
 
 
+def _floyd_picks(rng: np.random.Generator, degs: np.ndarray,
+                 s: int) -> np.ndarray:
+    """Sorted picks of ``s`` distinct edges out of each of ``degs`` (every
+    degree above ``s``), one row per degree, from one ``rng.integers`` call.
+
+    Row by row this is Floyd's algorithm (Bentley & Floyd, CACM 1987): step
+    ``t`` draws from ``[0, deg - s + t]`` and takes ``deg - s + t`` itself
+    when the draw is already taken.  The ``s - 1`` draws from ``[0, s - 1]``
+    down to ``[0, 1]`` that follow are numpy's shuffle of the picks; they
+    are drawn only to keep the stream where it was, and dropped.  For
+    ``s <= 200`` these are the draws of ``rng.choice(deg, s, replace=False)``,
+    so each row equals its sorted picks and the stream ends where that call
+    leaves it.  (Above that, numpy shuffles a full range instead when
+    ``deg > 10,000`` and ``s > deg // 50``.)
+    """
+    # step-major: row t holds every entity's bound (and then pick) at step t
+    highs = np.empty((2 * s - 1, degs.size), dtype=np.int64)
+    highs[:s] = degs - s + 1 + np.arange(s)[:, None]
+    highs[s:] = np.arange(s, 1, -1)[:, None]
+    picks = np.ascontiguousarray(rng.integers(0, highs.T).T[:s])
+    tops = highs[:s] - 1
+    for t in range(1, s):
+        np.copyto(picks[t], tops[t],
+                  where=np.logical_or.reduce(picks[:t] == picks[t]))
+    picks.sort(axis=0)
+    return picks.T
+
+
+def _first_seen(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values`` in order of first appearance."""
+    return values[np.sort(np.unique(values, return_index=True)[1])]
+
+
 def sample_subgraph(item_ids: np.ndarray, user_id: int, stkg: Stkg,
                     fanouts: tuple[int, int], seed: int, sid: int) -> Subgraph:
     """Sample a depth-m neighborhood around a sequence's items plus its user.
 
     Each distinct non-pad center samples min(s1, degree) neighbors uniformly
     without replacement; every newly reached node is expanded once at the next
-    depth with fanout s_l. Deterministic in (seed, sid). Entities missing from
-    the graph or with zero degree become isolated nodes (counted as cold).
+    depth with fanout s_l. The user node is never expanded. Centers with zero
+    degree become isolated nodes (counted as cold). Local ids follow first
+    appearance: centers, the user, then each hop's new children.
+
+    Draws come from the generator ``rng_for(seed, STREAM_SUBGRAPH, sid)``, so
+    the sample is deterministic in (seed, sid). Each hop draws for all its
+    entities above the fanout at once (:func:`_floyd_picks`); for fanouts up
+    to 200 these are the draws of one ``rng.choice(degree, s, replace=False)``
+    per entity in frontier order.
+
+    Raises ConsistencyError for a fanout below 1, a non-pad item outside
+    ``1..n_takeaways`` or a user outside ``1..n_users``.
     """
     if any(s < 1 for s in fanouts):
         raise ConsistencyError(f"fanouts must be positive, got {fanouts}")
+    items = np.asarray(item_ids, dtype=np.int64)
+    outside = items[(items < 0) | (items > stkg.n_takeaways)]
+    if outside.size:
+        raise ConsistencyError(f"takeaway id {outside[0]} outside the graph")
+    if not (1 <= user_id <= stkg.n_users):
+        raise ConsistencyError(f"user id {user_id} outside the graph")
     rng = rng_for(seed, STREAM_SUBGRAPH, sid)
 
-    nodes: list[int] = []
-    local: dict[int, int] = {}
-    n_cold = 0
-
-    def add_node(ent: int) -> int:
-        if ent not in local:
-            local[ent] = len(nodes)
-            nodes.append(ent)
-        return local[ent]
-
-    n_entities = stkg.n_entities
-    centers = np.full(item_ids.shape[0], -1, dtype=np.int64)
-    frontier: list[int] = []
-    for pos, item in enumerate(item_ids):
-        if item == 0:
-            continue
-        ent = stkg.takeaway_entity(int(item))
-        if ent >= n_entities:
-            raise ConsistencyError(f"takeaway id {item} outside the graph")
-        known = ent in local
-        centers[pos] = add_node(ent)
-        if not known:
-            frontier.append(ent)
-
+    real = items != 0
+    ents = stkg.takeaway_entity(items[real])
+    frontier = _first_seen(ents)
     user_ent = stkg.user_entity(user_id)
-    if not (0 <= user_ent < stkg.n_users):
-        raise ConsistencyError(f"user id {user_id} outside the graph")
-    user_known = user_ent in local
-    user_index = add_node(user_ent)
-    if not user_known:
-        frontier.append(user_ent)
-    # the user node contributes its embedding but is not expanded
-    no_expand = {user_ent}
-
-    edge_rows: list[tuple[int, int, int]] = []
-    expanded: set[int] = set(no_expand)
+    user_index = frontier.size
+    nodes = [frontier, np.array([user_ent], dtype=np.int64)]
+    n_nodes = user_index + 1
+    local = np.full(stkg.n_entities, -1, dtype=np.int64)
+    local[frontier] = np.arange(user_index)
+    local[user_ent] = user_index
+    centers = np.full(items.shape[0], -1, dtype=np.int64)
+    centers[real] = local[ents]
+    edges = [np.zeros((0, 3), dtype=np.int64)]
+    n_cold = 0
     for s in fanouts:
-        next_frontier: list[int] = []
-        for ent in frontier:
-            if ent in expanded:
-                continue
-            expanded.add(ent)
-            nbrs, rels = stkg.neighborhood(ent)
-            deg = nbrs.shape[0]
-            if deg == 0:
-                n_cold += 1
-                continue
-            if deg <= s:
-                picked = np.arange(deg)
-            else:
-                picked = rng.choice(deg, size=s, replace=False)
-                picked.sort()
-            parent_local = local[ent]
-            for k in picked:
-                child = int(nbrs[k])
-                if child not in local:
-                    next_frontier.append(child)
-                child_local = add_node(child)
-                edge_rows.append((parent_local, int(rels[k]), child_local))
-        frontier = next_frontier
-
-    edges = (np.array(edge_rows, dtype=np.int64) if edge_rows
-             else np.zeros((0, 3), dtype=np.int64))
-    return Subgraph(nodes=np.array(nodes, dtype=np.int64), centers=centers,
-                    user_index=user_index, edges=edges, n_cold=n_cold)
+        lo = stkg.indptr[frontier]
+        deg = stkg.indptr[frontier + 1] - lo
+        n_cold += int(np.count_nonzero(deg == 0))
+        # every edge of an entity up to the fanout, Floyd's picks above it
+        take = np.minimum(deg, s)
+        pos = np.arange(take.sum()) + np.repeat(lo - np.cumsum(take) + take,
+                                                take)
+        big = deg > s
+        if big.any():
+            pos[np.repeat(big, take)] = (
+                lo[big, None] + _floyd_picks(rng, deg[big], s)).ravel()
+        children = stkg.neighbors[pos]
+        parents = np.repeat(local[frontier], take)
+        frontier = _first_seen(children[local[children] < 0])
+        local[frontier] = n_nodes + np.arange(frontier.size)
+        n_nodes += frontier.size
+        nodes.append(frontier)
+        edges.append(np.stack([parents, stkg.rels[pos], local[children]],
+                              axis=1))
+    return Subgraph(nodes=np.concatenate(nodes), centers=centers,
+                    user_index=user_index, edges=np.concatenate(edges),
+                    n_cold=n_cold)
 
 
 @dataclass

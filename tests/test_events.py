@@ -209,14 +209,16 @@ def test_chain_runs_when_users_have_one_or_two_events(tmp_path, capsys,
 
 def test_chain_stops_when_no_user_has_a_second_event(tmp_path, capsys):
     codes, err = run_chain(tmp_path, capsys, corpus(per_user=1))
-    assert codes == [0, 0, 2] and "no training rows" in err
+    assert codes == [2] and "no training rows" in err
+    assert not (tmp_path / "out" / "dataset.npz").exists()
+    assert not (tmp_path / "out" / "vocab.json").exists()
 
 
 def test_chain_stops_when_every_line_is_dropped(tmp_path, capsys):
     lines = [line(user=f"u{u}", item=f"t{j}", ts=1000 + j, ugh="nowhere")
              for u in range(4) for j in range(4)]
     codes, err = run_chain(tmp_path, capsys, lines)
-    assert codes == [0, 0, 2] and "no training rows" in err
+    assert codes == [2] and "no training rows" in err
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -6,11 +6,13 @@ import time
 import numpy as np
 import pytest
 
+from stkd.config import STREAM_SUBGRAPH, rng_for
 from stkd.errors import ConsistencyError
 from stkd.events import ingest_events
 from stkd.geo import bucketize_distance, geohash6_centroid, spherical_distance
-from stkd.graph import (GraphStats, Stkg, Subgraph, build_stkg, graph_stats,
-                        sample_subgraph, time_bucket)
+from stkd.graph import (GraphStats, Stkg, Subgraph, _floyd_picks, build_stkg,
+                        graph_stats, sample_subgraph, time_bucket)
+from stkd.sequences import build_sequences
 from stkd.synthetic import SyntheticConfig, generate_synthetic
 
 REGION_A, REGION_B, REGION_C = "wt3mb5", "wt3q8y", "u09tvw"
@@ -274,3 +276,139 @@ def test_bad_fanouts_rejected():
     g, _ = small_world()
     with pytest.raises(ConsistencyError):
         sample_subgraph(np.array([1]), 1, g, (0, 5), seed=0, sid=0)
+
+
+@pytest.mark.parametrize("item", ["n_takeaways + 1", -3])
+def test_item_outside_the_takeaway_block_rejected(item):
+    # n_takeaways + 1 would land on the first attribute entity, -3 on a user
+    g, _ = small_world()
+    item = g.n_takeaways + 1 if item == "n_takeaways + 1" else item
+    with pytest.raises(ConsistencyError, match="takeaway id"):
+        sample_subgraph(np.array([0, 4, item]), 1, g, (3, 3), seed=0, sid=0)
+
+
+# ---------------------------------------------------------------------------
+# the whole-hop sampler against the per-entity loop it replaced
+# ---------------------------------------------------------------------------
+
+def reference_sample(item_ids, user_id, stkg, fanouts, seed, sid):
+    """One ``rng.choice`` per frontier entity, local ids by first sight."""
+    rng = rng_for(seed, STREAM_SUBGRAPH, sid)
+    nodes, local, n_cold = [], {}, 0
+
+    def add_node(ent):
+        if ent not in local:
+            local[ent] = len(nodes)
+            nodes.append(ent)
+        return local[ent]
+
+    centers = np.full(item_ids.shape[0], -1, dtype=np.int64)
+    frontier = []
+    for pos, item in enumerate(item_ids):
+        if item == 0:
+            continue
+        ent = stkg.takeaway_entity(int(item))
+        known = ent in local
+        centers[pos] = add_node(ent)
+        if not known:
+            frontier.append(ent)
+    user_ent = stkg.user_entity(user_id)
+    user_index = add_node(user_ent)
+    expanded = {user_ent}
+    edge_rows = []
+    for s in fanouts:
+        next_frontier = []
+        for ent in frontier:
+            if ent in expanded:
+                continue
+            expanded.add(ent)
+            nbrs, rels = stkg.neighborhood(ent)
+            deg = nbrs.shape[0]
+            if deg == 0:
+                n_cold += 1
+                continue
+            if deg <= s:
+                picked = np.arange(deg)
+            else:
+                picked = rng.choice(deg, size=s, replace=False)
+                picked.sort()
+            for k in picked:
+                child = int(nbrs[k])
+                if child not in local:
+                    next_frontier.append(child)
+                edge_rows.append((local[ent], int(rels[k]), add_node(child)))
+        frontier = next_frontier
+    edges = (np.array(edge_rows, dtype=np.int64) if edge_rows
+             else np.zeros((0, 3), dtype=np.int64))
+    return Subgraph(nodes=np.array(nodes, dtype=np.int64), centers=centers,
+                    user_index=user_index, edges=edges, n_cold=n_cold)
+
+
+def assert_same_subgraph(a, b):
+    for name in ("nodes", "centers", "edges"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+    assert a.user_index == b.user_index and a.n_cold == b.n_cold
+
+
+def cold_world():
+    lines = [line(item=f"t{k}", ts=MONDAY_0 + k * 3600) for k in range(1, 4)]
+    lines.append(line(item="t9", ts=MONDAY_0 + 9 * 3600))
+    g, _, vocab = build(lines)
+    return g, vocab.takeaways["t9"]
+
+
+@pytest.mark.parametrize("fanouts", [(1, 1), (2, 2), (8, 8), (20, 20),
+                                     (3, 30)])
+def test_sampler_is_bitwise_the_per_entity_loop(fanouts):
+    events, vocab, _ = ingest_events(generate_synthetic(SyntheticConfig(
+        n_users=40, n_takeaways=100, n_regions=5, events_per_user=25,
+        seed=11)))
+    g = build_stkg(events, vocab)
+    ds = build_sequences(events, vocab, n=8)
+    cases = [(ds.items[row], int(ds.user[row]), ds.sid(row))
+             for row in range(0, len(ds), 3)]
+    cases += [
+        (np.array([0, 0, 0, 7, 9, 7]), 2, 1),        # pad first, repeated
+        (np.array([5, 5, 5, 5]), 3, 2),              # one item, four times
+        (np.array([0, 0, 0, 12]), 4, 3),             # a single item
+        (np.array([g.n_takeaways, 1, 0, 1]), 5, 4),  # both ends of the block
+        (np.zeros(6, dtype=np.int64), 6, 5),         # all pad
+    ]
+    user_as_child = 0
+    for items, user, sid in cases:
+        got = sample_subgraph(items, user, g, fanouts, seed=7, sid=sid)
+        assert_same_subgraph(
+            got, reference_sample(items, user, g, fanouts, seed=7, sid=sid))
+        user_as_child += int(np.any(got.edges[:, 2] == got.user_index))
+    assert user_as_child > 0
+
+    g, cold = cold_world()
+    for items in (np.array([0, cold]), np.array([cold, 1, 2, cold])):
+        got = sample_subgraph(items, 1, g, fanouts, seed=7, sid=0)
+        assert got.n_cold == 1
+        assert_same_subgraph(
+            got, reference_sample(items, 1, g, fanouts, seed=7, sid=0))
+
+
+@pytest.mark.parametrize("s, deg", [
+    (s, deg) for s in (1, 2, 8, 20, 200)
+    for deg in (s + 1, 30, 361, 10000, 10001, 20000) if deg > s])
+def test_floyd_picks_are_rng_choice_draws(s, deg):
+    # pins the parity to the installed numpy's Generator.choice
+    for seed in range(5):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = np.sort(a.choice(deg, s, replace=False))
+        got = _floyd_picks(b, np.array([deg]), s)
+        assert got.shape == (1, s)
+        assert np.array_equal(got[0], want)
+        assert a.integers(2**31) == b.integers(2**31)
+
+
+def test_floyd_picks_draw_rows_in_order():
+    degs = np.array([9, 40, 9, 361, 12, 9])
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    want = np.stack([np.sort(a.choice(d, 8, replace=False)) for d in degs])
+    assert np.array_equal(_floyd_picks(b, degs, 8), want)
+    assert a.integers(2**31) == b.integers(2**31)

@@ -51,6 +51,8 @@ def load_arrays(path, expected_vocab_hash: str | None = None,
 
 
 def _restore(params, arrays, path) -> None:
+    """Fill ``params``, built without drawing an initialization, from the
+    checkpoint's arrays."""
     want = params.as_dict()
     missing = sorted(set(want) - set(arrays))
     extra = sorted(set(arrays) - set(want))
@@ -70,7 +72,7 @@ def load_teacher(path, expected_vocab_hash: str | None = None):
     """Rebuild a :class:`TeacherParams` from a checkpoint."""
     arrays, config, vocab_hash = load_arrays(path, expected_vocab_hash,
                                              ("teacher",))
-    params = TeacherParams(**config)
+    params = TeacherParams(**config, _draw=False)
     _restore(params, arrays, path)
     return params, config, vocab_hash
 
@@ -79,6 +81,6 @@ def load_student(path, expected_vocab_hash: str | None = None):
     """Rebuild a :class:`StudentParams` from a checkpoint."""
     arrays, config, vocab_hash = load_arrays(path, expected_vocab_hash,
                                              ("student",))
-    params = StudentParams(**config)
+    params = StudentParams(**config, _draw=False)
     _restore(params, arrays, path)
     return params, config, vocab_hash

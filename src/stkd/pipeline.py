@@ -245,28 +245,55 @@ def _fit(cfg: TrainConfig, params, dataset: SequenceDataset, step,
 # ranking shared by teacher validation and student evaluation
 # ---------------------------------------------------------------------------
 
+def _draw_negatives(dataset: SequenceDataset, rows: np.ndarray,
+                    n_negatives: int, seed: int,
+                    n_takeaways: int) -> list[tuple[np.ndarray, bool]]:
+    """Each row's ``sample_negatives`` draw ``(negatives, truncated)``, in
+    row order."""
+    drawn = []
+    for row in rows:
+        user = int(dataset.user[row])
+        drawn.append(sample_negatives(
+            user, int(dataset.target[row]), dataset.purchased_by(user),
+            n_takeaways, n_negatives, seed))
+    return drawn
+
+
 def _ranked_metrics(score_rows, dataset: SequenceDataset, rows: np.ndarray,
-                    k_list, n_negatives: int, seed: int,
-                    n_takeaways: int) -> MetricAccumulator:
+                    k_list, negatives) -> MetricAccumulator:
     """Accumulate HR/NDCG over ``rows``.
 
     ``score_rows(batch_rows) -> (b, |V|+1) ndarray`` produces model scores,
-    with the tape off; everything else (negative sampling, ranking) is
-    model-agnostic.
+    with the tape off; ``negatives`` holds each row's ``_draw_negatives``
+    draw, in row order.  Ranking is model-agnostic.
     """
     acc = MetricAccumulator(k_list=tuple(k_list))
+    drawn = iter(negatives)
     for batch in _batches(rows, 256):
         with no_tape():
             scores = score_rows(batch)
         for i, row in enumerate(batch):
-            user = int(dataset.user[row])
+            negs, truncated = next(drawn)
             target = int(dataset.target[row])
-            negs, truncated = sample_negatives(
-                user, target, dataset.purchased_by(user), n_takeaways,
-                n_negatives, seed)
             rank = rank_of_target(scores[i, target], scores[i, negs])
             acc.add(rank, truncated)
     return acc
+
+
+def _val_ndcg(score_rows, dataset: SequenceDataset, cfg: TrainConfig,
+              n_takeaways: int, negatives: list) -> float:
+    """NDCG@10 over the validation rows.  A fit hands every epoch's
+    validation one ``negatives`` list: the first fills it with the rows'
+    draws and the later ones reuse them, since a draw depends only on the
+    seed, the user and the target."""
+    rows = dataset.rows("valid")
+    if rows.size == 0:
+        return 0.0
+    if not negatives:
+        negatives.extend(_draw_negatives(dataset, rows, cfg.n_negatives,
+                                         cfg.seed, n_takeaways))
+    return _ranked_metrics(score_rows, dataset, rows, (10,),
+                           negatives).ndcg(10)
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +310,11 @@ def build_teacher(cfg: TrainConfig, stkg: Stkg, n_users: int,
 
 def _teacher_val_ndcg(params: TeacherParams, provider: SubgraphProvider,
                       dataset: SequenceDataset, cfg: TrainConfig,
-                      counters: Counters | None) -> float:
-    rows = dataset.rows("valid")
-    if rows.size == 0:
-        return 0.0
-
+                      counters: Counters | None, negatives: list) -> float:
     def score_rows(batch):
         return teacher_forward(provider.batch(batch), params, counters).data
 
-    acc = _ranked_metrics(score_rows, dataset, rows, (10,), cfg.n_negatives,
-                          cfg.seed, params.n_takeaways)
-    return acc.ndcg(10)
+    return _val_ndcg(score_rows, dataset, cfg, params.n_takeaways, negatives)
 
 
 def pretrain_teacher(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
@@ -312,9 +333,10 @@ def pretrain_teacher(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
         return pretrain_step(provider.batch(batch), dataset.target[batch],
                              params, opt, counters)
 
+    negatives: list = []            # drawn at the first validation
     return _fit(cfg, params, dataset, step,
                 lambda: _teacher_val_ndcg(params, provider, dataset, cfg,
-                                          counters))
+                                          counters, negatives))
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +423,8 @@ def variant_alpha(cfg: TrainConfig, variant: str) -> float:
 
 
 def _student_val_ndcg(params: StudentParams, dataset: SequenceDataset,
-                      cfg: TrainConfig, fusion: str = "stkd",
-                      fused_rows=None) -> float:
-    rows = dataset.rows("valid")
-    if rows.size == 0:
-        return 0.0
-
+                      cfg: TrainConfig, negatives: list,
+                      fusion: str = "stkd", fused_rows=None) -> float:
     def score_rows(batch):
         fused = fused_rows(batch) if fused_rows is not None else None
         probs, _ = predict_scores(dataset.items[batch], dataset.regions[batch],
@@ -414,9 +432,7 @@ def _student_val_ndcg(params: StudentParams, dataset: SequenceDataset,
                                   fusion=fusion)
         return probs.data
 
-    acc = _ranked_metrics(score_rows, dataset, rows, (10,), cfg.n_negatives,
-                          cfg.seed, params.n_takeaways)
-    return acc.ndcg(10)
+    return _val_ndcg(score_rows, dataset, cfg, params.n_takeaways, negatives)
 
 
 def distill(cfg: TrainConfig, dataset: SequenceDataset, n_takeaways: int,
@@ -467,8 +483,10 @@ def distill(cfg: TrainConfig, dataset: SequenceDataset, n_takeaways: int,
         opt.step()
         return float(loss.data)
 
+    negatives: list = []            # drawn at the first validation
     return _fit(cfg, params, dataset, step,
-                lambda: _student_val_ndcg(params, dataset, cfg, fusion=fusion,
+                lambda: _student_val_ndcg(params, dataset, cfg, negatives,
+                                          fusion=fusion,
                                           fused_rows=fusion_readout))
 
 
@@ -502,7 +520,8 @@ def evaluate(params: StudentParams, dataset: SequenceDataset,
         return probs.data
 
     acc = _ranked_metrics(score_rows, dataset, rows, cfg.k_list,
-                          cfg.n_negatives, cfg.seed, params.n_takeaways)
+                          _draw_negatives(dataset, rows, cfg.n_negatives,
+                                          cfg.seed, params.n_takeaways))
     counts = {"n_instances": acc.n_instances, "n_truncated": acc.n_truncated}
     if counters is not None:
         counts.update(counters.snapshot())

@@ -9,10 +9,20 @@ d_head) array apiece, so every head is projected, attended and merged in one
 pass. Attention is masked so a position sees only itself and earlier *real*
 (non-pad) positions. The prediction anchor is the last non-pad position's
 row, scored against the tied item-embedding table with the padding column
-removed from the distribution. Only that row is ever read, so the last block
-computes only it: its attention still reads every position, while its output
-projection, residual, second norm, FFN and dropouts run on the anchor rows
-alone, (b, d) instead of (b, n, d).
+removed from the distribution. Only that row is ever read, so the anchor
+path computes only what reaches it:
+
+- the columns: windows are left-padded (SASRec-style), so a batch runs only
+  the span from the first column holding a real item in any row to the last
+  anchor. Every query masks the pad columns before it and no anchor's causal
+  past reaches the columns after it. Each column keeps its absolute position
+  embedding, and dropout draws for the whole (b, n, d) array and keeps the
+  span's part, so the masks and the random stream stay those of the whole;
+- the rows: the last block's attention reads every column of the span,
+  while its output projection, residual, second norm, FFN and dropouts run
+  on the anchor rows alone, (b, d) instead of (b, span, d).
+
+``encode`` without ``rows`` still computes all n positions.
 """
 
 from __future__ import annotations
@@ -30,14 +40,16 @@ class StudentParams:
 
     def __init__(self, n_takeaways: int, n_regions: int, n: int, d: int,
                  heads: int = 2, layers: int = 2, n_dist_buckets: int = 16,
-                 dropout: float = 0.1, seed: int = 0):
+                 dropout: float = 0.1, seed: int = 0, *, _draw: bool = True):
         if min(n_takeaways, n, d, heads, layers) < 1:
             raise ConfigError("model dimensions must be positive")
         if d % heads != 0:
             raise ConfigError(f"d={d} must be divisible by heads={heads}")
-        rng = rng_for(seed, STREAM_INIT_STUDENT)
+        rng = rng_for(seed, STREAM_INIT_STUDENT) if _draw else None
 
         def init(*shape):
+            if rng is None:       # a checkpoint fills it (``_draw=False``)
+                return Tensor(np.empty(shape), requires_grad=True)
             w = rng.normal(0.0, 0.02, size=shape)
             return Tensor(np.clip(w, -0.04, 0.04), requires_grad=True)
 
@@ -110,12 +122,22 @@ def spatial_position_embedding(x_c: np.ndarray, x_f: np.ndarray,
 
 def embed_sequence(x: np.ndarray, x_c: np.ndarray, x_f: np.ndarray,
                    params: StudentParams, train: bool = False,
-                   rng: np.random.Generator | None = None) -> Tensor:
-    """Item + spatial-position + absolute-position embeddings, then dropout."""
-    e_x = T.take_rows(params.item_emb, np.asarray(x))
-    e = e_x + spatial_position_embedding(x_c, x_f, params) + params.pos_emb
+                   rng: np.random.Generator | None = None,
+                   start: int = 0) -> Tensor:
+    """Item + spatial-position + absolute-position embeddings, then dropout.
+
+    ``x`` may hold only columns ``start, start + 1, ...`` of the n-column
+    windows: they read their own ``pos_emb`` rows, and dropout draws for the
+    whole (b, n, d) array and keeps their part of it.
+    """
+    x = np.asarray(x)
+    b, stop = x.shape[0], start + x.shape[-1]
+    e_x = T.take_rows(params.item_emb, x)
+    e = (e_x + spatial_position_embedding(x_c, x_f, params)
+         + T.rows(params.pos_emb, start, stop))
     if train and params.dropout > 0.0:
-        e = T.dropout(e, params.dropout, rng)
+        e = T.dropout(e, params.dropout, rng, (b, params.n, params.d),
+                      (slice(None), slice(start, stop)))
     return e
 
 
@@ -123,7 +145,7 @@ def _attention_mask(x: np.ndarray) -> np.ndarray:
     """(b, n, n) boolean: query i may see key j iff j <= i and item j is real."""
     x = np.asarray(x)
     b, n = x.shape
-    causal = np.tril(np.ones((n, n), dtype=bool))
+    causal = np.tri(n, dtype=bool)
     key_real = (x != 0)[:, None, :]
     return causal[None, :, :] & key_real
 
@@ -131,13 +153,17 @@ def _attention_mask(x: np.ndarray) -> np.ndarray:
 def attention_block(h: Tensor, blk: dict, mask: np.ndarray,
                     train: bool = False, dropout: float = 0.0,
                     rng: np.random.Generator | None = None,
-                    rows: np.ndarray | None = None) -> Tensor:
+                    rows: np.ndarray | None = None, start: int = 0,
+                    length: int | None = None) -> Tensor:
     """Pre-normalization residual block: attention then feed-forward.
 
-    Returns (b, n, d) states, or with ``rows`` (one position per sequence)
-    only those positions' states, (b, d): attention still reads every
-    position, and the output projection, residual, second norm, FFN and both
-    dropouts run on the gathered rows alone.
+    Returns (b, n, d) states, or with ``rows`` (one position of ``h`` per
+    sequence) only those positions' states, (b, d): attention still reads
+    every position, and the output projection, residual, second norm, FFN
+    and both dropouts run on the gathered rows alone.  ``h`` may hold only
+    positions ``start, start + 1, ...`` of sequences of ``length`` positions
+    (default: all of them); dropout draws for the whole (b, length, d) array
+    and keeps the part ``h`` holds.
     """
     b, n, d = h.data.shape
     if mask.shape[-1] != n:
@@ -155,14 +181,19 @@ def attention_block(h: Tensor, blk: dict, mask: np.ndarray,
         heads = T.take_positions(heads, rows)
         h = T.take_positions(h, rows)
     attn = heads @ blk["Wo"]
-    if train and dropout > 0.0:
-        attn = T.dropout(attn, dropout, rng, rows, n)
+    drop = train and dropout > 0.0
+    if drop:
+        # the whole (b, length, d) draw, and the part h holds
+        full = (b, n if length is None else length, d)
+        part = ((slice(None), slice(start, start + n)) if rows is None
+                else (np.arange(b), rows + start))
+        attn = T.dropout(attn, dropout, rng, full, part)
     a = h + attn
     a_norm = T.layer_norm(a, blk["ln2_g"], blk["ln2_b"])
     ffn = T.relu(a_norm @ blk["ffn_W1"] + blk["ffn_b1"]) @ blk["ffn_W2"] \
         + blk["ffn_b2"]
-    if train and dropout > 0.0:
-        ffn = T.dropout(ffn, dropout, rng, rows, n)
+    if drop:
+        ffn = T.dropout(ffn, dropout, rng, full, part)
     return a + ffn
 
 
@@ -170,18 +201,36 @@ def encode(x, x_c, x_f, params: StudentParams, train: bool = False,
            seed: int = 0, step: int = 0,
            rows: np.ndarray | None = None) -> Tensor:
     """Embedding plus all attention blocks; returns (b, n, d) states, or with
-    ``rows`` only the last block's states at those positions, (b, d)."""
+    ``rows`` (one position per sequence) only the last block's states at
+    those positions, (b, d).
+
+    With ``rows`` only the readable span of columns runs: from the first
+    column that holds a real item in any sequence (or the first of
+    ``rows``, if earlier) to the last of ``rows``.  Every query masks the
+    pad columns before it, and the columns after it lie in no row's causal
+    past, so the states at ``rows`` are those of the whole windows; only
+    the attention normalizer sums over fewer (zero) terms.
+    """
     x = np.atleast_2d(np.asarray(x))
     x_c = np.atleast_2d(np.asarray(x_c))
     x_f = np.atleast_2d(np.asarray(x_f))
+    n = x.shape[1]
     rng = rng_for(seed, STREAM_DROPOUT, step) if train else None
-    h = embed_sequence(x, x_c, x_f, params, train=train, rng=rng)
+    start = 0
+    if rows is not None:
+        rows = np.asarray(rows)
+        start = min(int(x.any(axis=0).argmax()), int(rows.min()))
+        stop = int(rows.max()) + 1
+        x, x_c, x_f = (a[:, start:stop] for a in (x, x_c, x_f))
+        rows = rows - start
+    h = embed_sequence(x, x_c, x_f, params, train=train, rng=rng, start=start)
     mask = _attention_mask(x)
     last = len(params.blocks) - 1
     for i, blk in enumerate(params.blocks):
         h = attention_block(h, blk, mask, train=train,
                             dropout=params.dropout, rng=rng,
-                            rows=rows if i == last else None)
+                            rows=rows if i == last else None, start=start,
+                            length=n)
     return h
 
 

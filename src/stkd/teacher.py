@@ -34,13 +34,16 @@ class TeacherParams:
 
     def __init__(self, n_entities: int, n_relations: int, n: int, d: int,
                  gnn_layers: int = 2, seed: int = 0,
-                 n_users: int = 0, n_takeaways: int = 0):
+                 n_users: int = 0, n_takeaways: int = 0, *,
+                 _draw: bool = True):
         if d < 1 or n < 1 or gnn_layers < 1:
             raise ConfigError(f"bad teacher dimensions d={d} n={n} "
                               f"layers={gnn_layers}")
-        rng = rng_for(seed, STREAM_INIT_TEACHER)
+        rng = rng_for(seed, STREAM_INIT_TEACHER) if _draw else None
 
         def init(*shape):
+            if rng is None:       # a checkpoint fills it (``_draw=False``)
+                return Tensor(np.empty(shape), requires_grad=True)
             w = rng.normal(0.0, 0.02, size=shape)
             return Tensor(np.clip(w, -0.04, 0.04), requires_grad=True)
 

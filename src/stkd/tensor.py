@@ -261,15 +261,39 @@ def tanh(a) -> Tensor:
 # linear algebra / shape
 # ---------------------------------------------------------------------------
 
+def _weight_grad(a: np.ndarray, g: np.ndarray, shape) -> np.ndarray:
+    """The gradient of ``b`` (of ``shape``) in ``a @ b``: a^T g, summed over
+    the batch axes ``b`` is broadcast along.
+
+    When ``a`` is in turn broadcast along every batch axis ``b`` keeps (a
+    2-D weight applied to a batch, or (b, 1, n, d) @ (heads, d, d_head)),
+    this is one GEMM: the summed axes join the contraction and the kept ones
+    the output columns, so no stack of per-matrix products is built.
+    """
+    lead = g.ndim - 2
+    a_shape = (1,) * (g.ndim - a.ndim) + a.shape
+    b_shape = (1,) * (g.ndim - len(shape)) + tuple(shape)
+    kept = [i for i in range(lead) if b_shape[i] != 1]
+    summed = [i for i in range(lead) if b_shape[i] == 1]
+    if not summed or any(a_shape[i] != 1 for i in kept):
+        return _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), shape)
+    k = a.shape[-1]
+    a2 = a.reshape(-1, k)             # (summed..., n) rows of a
+    g2 = g.transpose(summed + [lead] + kept + [lead + 1]).reshape(
+        a2.shape[0], -1)              # the same rows; (kept..., m) columns
+    out = (a2.T @ g2).reshape((k,) + tuple(g.shape[i] for i in kept)
+                              + (g.shape[-1],))
+    return np.moveaxis(out, 0, -2).reshape(shape)
+
+
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(np.matmul(a.data, b.data))
 
     def backward(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         _accum(a, _unbroadcast(ga, a.data.shape))
-        _accum(b, _unbroadcast(gb, b.data.shape))
+        _accum(b, _weight_grad(a.data, g, b.data.shape))
 
     return _link(out, (a, b), backward, "matmul")
 
@@ -534,24 +558,20 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
 
 
 def dropout(x, rate: float, rng: np.random.Generator,
-            rows: np.ndarray | None = None, length: int = 0) -> Tensor:
+            shape: tuple[int, ...] | None = None, index=()) -> Tensor:
     """Inverted dropout; call only in training mode.
 
-    With ``rows``, x (b, ...) holds position ``rows[i]`` of sequence i of a
-    (b, length, ...) array: the mask is drawn for that whole array and
-    gathered at the same positions, so the random stream and these rows'
-    masks are the ones dropout before the gather would use.
+    The mask is drawn for an array of ``shape`` (default: x's own) and x is
+    that array's part ``index``: ``(slice(None), slice(lo, hi))`` for a span
+    of sequence positions, ``(arange(b), rows)`` for one position per
+    sequence.  So the random stream, and the masks of the positions x holds,
+    are the ones dropout on the whole array would use.
     """
     x = as_tensor(x)
     if rate <= 0.0:
         return x
-    if rows is None:
-        kept = rng.random(x.data.shape) >= rate
-    else:
-        b = x.data.shape[0]
-        kept = (rng.random((b, length) + x.data.shape[1:]) >= rate)[
-            np.arange(b), rows]
-    keep = kept.astype(x.data.dtype) / (1.0 - rate)
+    draw = rng.random(x.data.shape if shape is None else shape)[index]
+    keep = (draw >= rate).astype(x.data.dtype) / (1.0 - rate)
     out = Tensor(x.data * keep)
 
     def backward(g):

@@ -279,6 +279,26 @@ def test_distill_determinism(world):
         np.testing.assert_array_equal(t.data, b.params.as_dict()[name].data)
 
 
+@pytest.mark.parametrize("stage", ["teacher", "student"])
+def test_a_fit_draws_each_validation_row_once(world, stage, monkeypatch):
+    # a draw depends only on (seed, user, target), so every epoch's
+    # validation reuses the first one's negatives
+    dataset = world[0]
+    drawn = []
+    real = pipeline.sample_negatives
+
+    def counted(user, target, *a):
+        drawn.append((user, target))
+        return real(user, target, *a)
+
+    monkeypatch.setattr(pipeline, "sample_negatives", counted)
+    result = _train(stage, tiny_cfg(epochs=3, patience=3), world)
+    assert result.epochs_run == 3
+    valid = dataset.rows("valid")
+    assert drawn == [(int(dataset.user[r]), int(dataset.target[r]))
+                     for r in valid]
+
+
 @pytest.fixture
 def missing_grads(monkeypatch):
     """Per optimizer step, the names of the parameters without a gradient."""

@@ -1,5 +1,7 @@
 """Sequence student: embeddings, causal attention, prediction, losses."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -536,6 +538,65 @@ def test_anchor_rows_match_the_full_encoder(b, train, layers, fusion):
         else:
             np.testing.assert_allclose(g, want_grads[name], rtol=0,
                                        atol=1e-12, err_msg=name)
+
+    # batches whose span is trimmed: a pad column that leads every row,
+    # then pads after every anchor; only the attention normalizer sums over
+    # fewer zero terms, so they agree to a stated tolerance, not bitwise
+    lead = np.array([[0, 0, 3, 5, 2, 7], [0, 0, 0, 4, 0, 8], [0, 0, 2, 5, 0, 0],
+                     [0, 0, 0, 0, 0, 6], [0, 0, 1, 0, 8, 0]])[:max(b, 2)]
+    trail = np.array([[0, 3, 5, 0, 0, 0], [2, 0, 4, 1, 0, 0],
+                      [0, 0, 6, 0, 0, 0], [1, 2, 0, 0, 0, 0],
+                      [0, 0, 0, 7, 0, 0]])[:b]
+    for x in (lead, trail):
+        x_c = rng.integers(1, 5, size=x.shape) * (x != 0)
+        x_f = rng.integers(1, 17, size=x.shape) * (x != 0)
+        m = x.shape[0]
+        kw["fused"] = (Tensor(rng.standard_normal((m, p.d)))
+                       if fusion != "stkd" else None)
+        teacher_logits = rng.standard_normal((m, 10))
+        targets = rng.integers(1, 10, size=m)
+        want = reference_logits(x, x_c, x_f, p, **kw)
+        want_grads = _grads(p, want, teacher_logits, targets)
+        got = predict_logits(x, x_c, x_f, p, **kw)
+        got_grads = _grads(p, got, teacher_logits, targets)
+        np.testing.assert_allclose(got.data, want.data, rtol=1e-12,
+                                   atol=1e-13)
+        assert got_grads.keys() == want_grads.keys()
+        for name, g in got_grads.items():
+            if want_grads[name] is None:
+                assert g is None, name
+            else:
+                np.testing.assert_allclose(g, want_grads[name], rtol=0,
+                                           atol=1e-12, err_msg=name)
+
+
+def test_trimmed_forward_keeps_the_dropout_stream(monkeypatch):
+    # the masks dropout applies at every kept position, and where the
+    # generator stands afterwards, are those of the untrimmed forward
+    p = micro(n_takeaways=9, n=6, d=8, layers=2, seed=2, dropout=0.3)
+    x = np.array([[0, 0, 3, 5, 0, 0], [0, 0, 0, 4, 2, 0]])
+    zc = np.zeros(x.shape, int)
+    anchors = np.array([3, 4])
+    real = T.dropout
+    calls = []
+
+    def recording(t, rate, rng, *a):
+        # the mask, read by dropping out ones with a copy of the generator
+        ones = Tensor(np.ones(t.data.shape))
+        calls.append((real(ones, rate, copy.deepcopy(rng), *a).data, rng))
+        return real(t, rate, rng, *a)
+
+    monkeypatch.setattr(T, "dropout", recording)
+    encode(x, zc, zc, p, train=True, seed=5, step=3)
+    full, calls[:] = calls[:], []
+    encode(x, zc, zc, p, train=True, seed=5, step=3, rows=anchors)
+    trimmed = calls
+    assert len(trimmed) == len(full) == 1 + 2 * len(p.blocks)
+    span = (slice(None), slice(2, 5))
+    for i, ((mask, _), (want, _)) in enumerate(zip(trimmed, full)):
+        at = span if i < len(full) - 2 else (np.arange(2), anchors)
+        assert mask.tobytes() == want[at].tobytes(), i
+    assert trimmed[-1][1].random() == full[-1][1].random()
 
 
 def test_encode_returns_anchor_rows_only_when_asked():

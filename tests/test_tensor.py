@@ -186,6 +186,31 @@ def test_grad_matmul_broadcast_weight():
     check(lambda q: sumsq(q["a"] @ q["b"]), {"a": a, "b": b})
 
 
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((5, 6, 8), (8, 4)),            # a 2-D weight applied to a batch
+    ((5, 1, 6, 8), (2, 8, 4)),      # per-head weights on a shared input
+    ((4, 6, 8), (1, 8, 4)),
+    ((3, 2, 6, 8), (2, 8, 4)),      # both batched: per-matrix products
+    ((1, 6, 8), (3, 8, 4)),
+    ((6, 8), (3, 8, 4)),
+])
+def test_matmul_weight_grad_is_the_sum_of_per_matrix_products(a_shape,
+                                                              b_shape):
+    rng = np.random.default_rng(len(a_shape) * 10 + len(b_shape))
+    a = T.Tensor(rng.standard_normal(a_shape), requires_grad=True)
+    b = T.Tensor(rng.standard_normal(b_shape), requires_grad=True)
+    out = a @ b
+    g = rng.standard_normal(out.data.shape)
+    T.tsum(out * g).backward()
+    stacked = np.matmul(np.swapaxes(a.data, -1, -2), g)
+    want = stacked.sum(axis=tuple(range(stacked.ndim - len(b_shape))))
+    want = want.sum(axis=tuple(i for i, s in enumerate(b_shape[:-2])
+                               if s == 1), keepdims=True)
+    assert b.grad.shape == b_shape
+    np.testing.assert_allclose(b.grad, want, rtol=0,
+                               atol=1e-13 * np.abs(want).max())
+
+
 def test_grad_relu():
     a = p((4, 4), seed=11)
     check(lambda q: T.tsum(T.relu(q["a"])), {"a": a})
@@ -364,13 +389,17 @@ def test_dropout_scaling_and_grad_mask():
 
 def test_dropout_on_gathered_rows_keeps_the_full_draw():
     x = np.random.default_rng(2).standard_normal((3, 5, 4))
-    rows, batch = np.array([4, 0, 2]), np.arange(3)
-    full_rng, rows_rng = np.random.default_rng(9), np.random.default_rng(9)
-    want = T.dropout(T.Tensor(x), 0.4, full_rng).data[batch, rows]
-    got = T.dropout(T.Tensor(x[batch, rows]), 0.4, rows_rng, rows, 5).data
-    assert got.tobytes() == want.tobytes()
-    # the stream continues where dropout on the full array leaves it
-    assert full_rng.random() == rows_rng.random()
+    # one position per sequence, and a span of positions
+    for index in ((np.arange(3), np.array([4, 0, 2])),
+                  (slice(None), slice(1, 4))):
+        full_rng, part_rng = (np.random.default_rng(9),
+                              np.random.default_rng(9))
+        want = T.dropout(T.Tensor(x), 0.4, full_rng).data[index]
+        got = T.dropout(T.Tensor(x[index]), 0.4, part_rng, x.shape,
+                        index).data
+        assert got.tobytes() == want.tobytes()
+        # the stream continues where dropout on the full array leaves it
+        assert full_rng.random() == part_rng.random()
 
 
 # ---------------------------------------------------------------------------

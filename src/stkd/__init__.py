@@ -29,8 +29,7 @@ from .events import PurchaseEvent, Vocab, ingest_events
 from .geo import (bucketize_distance, geohash6_centroid, is_valid_geohash6,
                   spherical_distance)
 from .graph import Stkg, Subgraph, build_stkg, graph_stats, sample_subgraph
-from .metrics import (MetricAccumulator, hit_rate_at_k, ndcg_at_k,
-                      rank_of_target, sample_negatives)
+from .metrics import hit_rate_at_k, ndcg_at_k, rank_of_target, sample_negatives
 from .optim import Adam, AdamState, adam_step
 from .pipeline import (ABLATION_VARIANTS, FUSION_STRATEGIES, MetricsReport,
                        SubgraphProvider, TeacherSignal, TrainResult, ablate,
@@ -51,8 +50,8 @@ __all__ = [
     "ABLATION_VARIANTS", "FUSION_STRATEGIES",
     "Adam", "AdamState", "ConfigError", "ConsistencyError",
     "DataQualityError", "GeohashParseError",
-    "InvalidArgumentError", "InvalidSampleError", "MetricAccumulator",
-    "MetricsReport", "PurchaseEvent", "SequenceDataset",
+    "InvalidArgumentError", "InvalidSampleError", "MetricsReport",
+    "PurchaseEvent", "SequenceDataset",
     "Stkg", "StkdError", "StudentParams", "Subgraph", "SubgraphProvider",
     "SyntheticConfig", "TeacherParams", "TeacherSignal", "Tensor",
     "TrainConfig", "TrainResult", "Vocab", "VocabMismatchError",

@@ -201,15 +201,19 @@ def cmd_distill(args) -> int:
 
 
 def _parse_k(text: str | None):
-    if not text:
+    if text is None:
         return None
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise ConfigError(f"--k takes comma-separated integer cutoffs, "
+                          f"got {text!r}") from None
 
 
 def cmd_evaluate(args) -> int:
     cfg = _load_train_config(args)
     k_list = _parse_k(args.k)
-    if k_list:
+    if k_list is not None:
         cfg = TrainConfig.from_dict({**cfg.to_dict(), "k_list": k_list})
     out = _out_dir(cfg)
     dataset, vocab = _load_prepared(cfg)

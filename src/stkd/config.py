@@ -97,6 +97,9 @@ class TrainConfig:
         if any(f <= 0 for f in self.fanouts):
             raise ConfigError(f"fanouts must be positive, got {self.fanouts}")
         self.k_list = int_tuple("k_list", self.k_list)
+        if not self.k_list or min(self.k_list) < 1:
+            raise ConfigError(f"k_list takes one or more cutoffs of at least "
+                              f"1, got {list(self.k_list)}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -9,6 +9,12 @@ set of sampled negatives.  The rank counts how many negatives score
     HR@k   = 1            if rank <= k else 0
     NDCG@k = 1/log2(rank+1) if rank <= k else 0
 
+``rank_of_target``, ``hit_rate_at_k`` and ``ndcg_at_k`` take one instance
+or a whole batch: a ``(b,)`` target vector against a ``(b, m)`` negative
+table gives a ``(b,)`` rank array, and the metrics map a rank array
+elementwise.  A table row may repeat its own target's score as padding:
+that never scores strictly above the target, so it never moves the rank.
+
 Negatives are drawn uniformly without replacement from the items the user
 has never purchased (excluding the target and the padding id 0), using a
 dedicated per-user random stream so evaluation is reproducible and
@@ -16,8 +22,6 @@ independent of iteration order.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,28 +33,37 @@ __all__ = [
     "hit_rate_at_k",
     "ndcg_at_k",
     "sample_negatives",
-    "MetricAccumulator",
 ]
 
 
-def rank_of_target(target_score: float, negative_scores: np.ndarray) -> int:
-    """1-based rank of the target among itself plus the negatives."""
-    negative_scores = np.asarray(negative_scores)
-    return 1 + int(np.count_nonzero(negative_scores > target_score))
+def rank_of_target(target_score, negative_scores):
+    """1-based rank of the target among itself plus the negatives: an int
+    for one instance, a ``(b,)`` array for ``(b,)`` targets against
+    ``(b, m)`` negatives."""
+    target_score = np.asarray(target_score)
+    ranks = 1 + np.count_nonzero(
+        np.asarray(negative_scores) > target_score[..., None], axis=-1)
+    return int(ranks) if target_score.ndim == 0 else ranks
 
 
-def hit_rate_at_k(rank: int, k: int) -> float:
-    if rank < 1 or k < 1:
-        raise InvalidArgumentError(f"rank and k must be >= 1, got rank={rank} k={k}")
-    return 1.0 if rank <= k else 0.0
+def _checked_ranks(rank, k: int) -> np.ndarray:
+    rank = np.asarray(rank)
+    if k < 1 or np.any(rank < 1):
+        raise InvalidArgumentError(
+            f"rank and k must be >= 1, got rank={rank} k={k}")
+    return rank
 
 
-def ndcg_at_k(rank: int, k: int) -> float:
-    if rank < 1 or k < 1:
-        raise InvalidArgumentError(f"rank and k must be >= 1, got rank={rank} k={k}")
-    if rank > k:
-        return 0.0
-    return 1.0 / np.log2(rank + 1.0)
+def hit_rate_at_k(rank, k: int):
+    """1.0 where ``rank <= k``, else 0.0; elementwise over a rank array."""
+    return np.where(_checked_ranks(rank, k) <= k, 1.0, 0.0)[()]
+
+
+def ndcg_at_k(rank, k: int):
+    """``1 / log2(rank + 1)`` where ``rank <= k``, else 0.0; elementwise
+    over a rank array."""
+    rank = _checked_ranks(rank, k)
+    return np.where(rank <= k, 1.0 / np.log2(rank + 1.0), 0.0)[()]
 
 
 def sample_negatives(
@@ -86,47 +99,3 @@ def sample_negatives(
     picked = rng.choice(candidates, size=n_negatives, replace=False)
     picked.sort()
     return picked, False
-
-
-@dataclass
-class MetricAccumulator:
-    """Streaming mean of HR@k and NDCG@k over evaluation instances."""
-
-    k_list: tuple[int, ...] = (5, 10, 20)
-    n_instances: int = 0
-    n_truncated: int = 0
-    _hr: dict[int, float] = field(default_factory=dict)
-    _ndcg: dict[int, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for k in self.k_list:
-            if k < 1:
-                raise InvalidArgumentError(f"cutoff k must be >= 1, got {k}")
-            self._hr.setdefault(k, 0.0)
-            self._ndcg.setdefault(k, 0.0)
-
-    def add(self, rank: int, truncated: bool = False) -> None:
-        self.n_instances += 1
-        if truncated:
-            self.n_truncated += 1
-        for k in self.k_list:
-            self._hr[k] += hit_rate_at_k(rank, k)
-            self._ndcg[k] += ndcg_at_k(rank, k)
-
-    def hr(self, k: int) -> float:
-        if self.n_instances == 0:
-            return 0.0
-        return self._hr[k] / self.n_instances
-
-    def ndcg(self, k: int) -> float:
-        if self.n_instances == 0:
-            return 0.0
-        return self._ndcg[k] / self.n_instances
-
-    def as_dict(self) -> dict:
-        return {
-            "n_instances": self.n_instances,
-            "n_truncated": self.n_truncated,
-            "hr": {str(k): self.hr(k) for k in self.k_list},
-            "ndcg": {str(k): self.ndcg(k) for k in self.k_list},
-        }

@@ -11,11 +11,12 @@ where the teacher enters only through that soft-label cache
 ``log_softmax``.  Both stages run the one epoch
 loop ``_fit`` (seeded shuffle, divergence abort, early stopping on
 validation NDCG@10, best-snapshot restore) and differ only in the step and
-validation closures they hand it.  Evaluation ranks each user's
-held-out target against sampled negatives and reports HR@k / NDCG@k with
-wall-clock timing split into training and prediction phases.  Every pass
-that nothing backpropagates through (validation, evaluation, soft labels,
-the fusion readout in a training step) runs with the tape off.
+validation closures they hand it.  Evaluation draws each row's sampled
+negatives into one table (a fit draws its validation table once), ranks
+the held-out targets against it one batch at a time, and reports HR@k /
+NDCG@k with wall-clock timing split into training and prediction phases.
+Every pass that nothing backpropagates through (validation, evaluation,
+soft labels, the fusion readout in a training step) runs with the tape off.
 
 The three studies (``ablate``, ``ablate_fusion``, ``sweep``) only name
 their arms, each a ``(TrainConfig, variant, fusion)`` triple, and run them
@@ -36,7 +37,8 @@ from .config import STREAM_SHUFFLE, TrainConfig, rng_for
 from .errors import ConsistencyError, InvalidArgumentError
 from .graph import Stkg, Subgraph, sample_subgraph
 from .instrument import Counters
-from .metrics import MetricAccumulator, rank_of_target, sample_negatives
+from .metrics import (hit_rate_at_k, ndcg_at_k, rank_of_target,
+                      sample_negatives)
 from .optim import Adam
 from .sequences import SequenceDataset
 from .student import (StudentParams, joint_loss, kd_loss, predict_logits,
@@ -247,53 +249,63 @@ def _fit(cfg: TrainConfig, params, dataset: SequenceDataset, step,
 
 def _draw_negatives(dataset: SequenceDataset, rows: np.ndarray,
                     n_negatives: int, seed: int,
-                    n_takeaways: int) -> list[tuple[np.ndarray, bool]]:
-    """Each row's ``sample_negatives`` draw ``(negatives, truncated)``, in
-    row order."""
-    drawn = []
-    for row in rows:
+                    n_takeaways: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``sample_negatives`` draw, as one ``(rows, n_negatives)``
+    table of item ids and a per-row ``truncated`` flag.  A truncated row is
+    padded with its own target, which never scores strictly above itself."""
+    table = np.repeat(dataset.target[rows, None], n_negatives, axis=1)
+    truncated = np.zeros(rows.size, dtype=bool)
+    for i, row in enumerate(rows):
         user = int(dataset.user[row])
-        drawn.append(sample_negatives(
+        negs, truncated[i] = sample_negatives(
             user, int(dataset.target[row]), dataset.purchased_by(user),
-            n_takeaways, n_negatives, seed))
-    return drawn
+            n_takeaways, n_negatives, seed)
+        table[i, :negs.size] = negs
+    return table, truncated
 
 
-def _ranked_metrics(score_rows, dataset: SequenceDataset, rows: np.ndarray,
-                    k_list, negatives) -> MetricAccumulator:
-    """Accumulate HR/NDCG over ``rows``.
+def _target_ranks(score_rows, dataset: SequenceDataset, rows: np.ndarray,
+                  negatives: np.ndarray) -> tuple[np.ndarray, float]:
+    """Each row's rank of its target against its row of ``negatives`` (the
+    ``_draw_negatives`` table), and the seconds spent in ``score_rows``.
 
     ``score_rows(batch_rows) -> (b, |V|+1) ndarray`` produces model scores,
-    with the tape off; ``negatives`` holds each row's ``_draw_negatives``
-    draw, in row order.  Ranking is model-agnostic.
+    with the tape off.  Ranking is model-agnostic: per batch, one gather of
+    the target and negative scores and one ``rank_of_target`` call.
     """
-    acc = MetricAccumulator(k_list=tuple(k_list))
-    drawn = iter(negatives)
-    for batch in _batches(rows, 256):
+    ids = np.column_stack((dataset.target[rows], negatives))  # target first
+    ranks = np.empty(rows.size, dtype=np.int64)
+    seconds = 0.0
+    for start in range(0, rows.size, 256):
+        part = slice(start, start + 256)
+        t0 = time.perf_counter()
         with no_tape():
-            scores = score_rows(batch)
-        for i, row in enumerate(batch):
-            negs, truncated = next(drawn)
-            target = int(dataset.target[row])
-            rank = rank_of_target(scores[i, target], scores[i, negs])
-            acc.add(rank, truncated)
-    return acc
+            scores = score_rows(rows[part])
+        seconds += time.perf_counter() - t0
+        picked = np.take_along_axis(scores, ids[part], axis=1)
+        ranks[part] = rank_of_target(picked[:, 0], picked[:, 1:])
+    return ranks, seconds
 
 
-def _val_ndcg(score_rows, dataset: SequenceDataset, cfg: TrainConfig,
-              n_takeaways: int, negatives: list) -> float:
-    """NDCG@10 over the validation rows.  A fit hands every epoch's
-    validation one ``negatives`` list: the first fills it with the rows'
-    draws and the later ones reuse them, since a draw depends only on the
-    seed, the user and the target."""
-    rows = dataset.rows("valid")
-    if rows.size == 0:
-        return 0.0
-    if not negatives:
-        negatives.extend(_draw_negatives(dataset, rows, cfg.n_negatives,
-                                         cfg.seed, n_takeaways))
-    return _ranked_metrics(score_rows, dataset, rows, (10,),
-                           negatives).ndcg(10)
+def _means(ranks: np.ndarray, k_list) -> tuple[dict, dict]:
+    """HR@k and NDCG@k averaged over ``ranks`` (0 without rows).  NDCG is
+    summed left to right in row order, not pairwise, so the means are
+    bitwise those of a running per-row sum."""
+    n = max(ranks.size, 1)
+    hr = {k: float(hit_rate_at_k(ranks, k).sum()) / n for k in k_list}
+    ndcg = {k: float(np.cumsum(np.append(0.0, ndcg_at_k(ranks, k)))[-1]) / n
+            for k in k_list}
+    return hr, ndcg
+
+
+def _val_ndcg(score_rows, dataset: SequenceDataset,
+              negatives: np.ndarray) -> float:
+    """NDCG@10 over the validation rows.  A fit draws their ``negatives``
+    once, before its first epoch, since a draw depends only on the seed,
+    the user and the target."""
+    ranks, _ = _target_ranks(score_rows, dataset, dataset.rows("valid"),
+                             negatives)
+    return _means(ranks, (10,))[1][10]
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +321,12 @@ def build_teacher(cfg: TrainConfig, stkg: Stkg, n_users: int,
 
 
 def _teacher_val_ndcg(params: TeacherParams, provider: SubgraphProvider,
-                      dataset: SequenceDataset, cfg: TrainConfig,
-                      counters: Counters | None, negatives: list) -> float:
+                      dataset: SequenceDataset, counters: Counters | None,
+                      negatives: np.ndarray) -> float:
     def score_rows(batch):
         return teacher_forward(provider.batch(batch), params, counters).data
 
-    return _val_ndcg(score_rows, dataset, cfg, params.n_takeaways, negatives)
+    return _val_ndcg(score_rows, dataset, negatives)
 
 
 def pretrain_teacher(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
@@ -333,9 +345,10 @@ def pretrain_teacher(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
         return pretrain_step(provider.batch(batch), dataset.target[batch],
                              params, opt, counters)
 
-    negatives: list = []            # drawn at the first validation
+    negatives, _ = _draw_negatives(dataset, dataset.rows("valid"),
+                                   cfg.n_negatives, cfg.seed, n_takeaways)
     return _fit(cfg, params, dataset, step,
-                lambda: _teacher_val_ndcg(params, provider, dataset, cfg,
+                lambda: _teacher_val_ndcg(params, provider, dataset,
                                           counters, negatives))
 
 
@@ -422,17 +435,25 @@ def variant_alpha(cfg: TrainConfig, variant: str) -> float:
     return 0.0 if variant in ("no_kd", "no_sp_kd") else cfg.alpha
 
 
-def _student_val_ndcg(params: StudentParams, dataset: SequenceDataset,
-                      cfg: TrainConfig, negatives: list,
-                      fusion: str = "stkd", fused_rows=None) -> float:
+def _student_scores(params: StudentParams, dataset: SequenceDataset,
+                    fusion: str = "stkd", fusion_readout=None):
+    """``score_rows`` for the student: its probabilities for a batch of
+    rows, fused with ``fusion_readout(rows)`` unless ``fusion`` is "stkd"."""
     def score_rows(batch):
-        fused = fused_rows(batch) if fused_rows is not None else None
+        fused = fusion_readout(batch) if fusion != "stkd" else None
         probs, _ = predict_scores(dataset.items[batch], dataset.regions[batch],
                                   dataset.dists[batch], params, fused=fused,
                                   fusion=fusion)
         return probs.data
 
-    return _val_ndcg(score_rows, dataset, cfg, params.n_takeaways, negatives)
+    return score_rows
+
+
+def _student_val_ndcg(params: StudentParams, dataset: SequenceDataset,
+                      negatives: np.ndarray, fusion: str = "stkd",
+                      fusion_readout=None) -> float:
+    return _val_ndcg(_student_scores(params, dataset, fusion, fusion_readout),
+                     dataset, negatives)
 
 
 def distill(cfg: TrainConfig, dataset: SequenceDataset, n_takeaways: int,
@@ -483,11 +504,11 @@ def distill(cfg: TrainConfig, dataset: SequenceDataset, n_takeaways: int,
         opt.step()
         return float(loss.data)
 
-    negatives: list = []            # drawn at the first validation
+    negatives, _ = _draw_negatives(dataset, dataset.rows("valid"),
+                                   cfg.n_negatives, cfg.seed, n_takeaways)
     return _fit(cfg, params, dataset, step,
-                lambda: _student_val_ndcg(params, dataset, cfg, negatives,
-                                          fusion=fusion,
-                                          fused_rows=fusion_readout))
+                lambda: _student_val_ndcg(params, dataset, negatives, fusion,
+                                          fusion_readout))
 
 
 # ---------------------------------------------------------------------------
@@ -506,29 +527,19 @@ def evaluate(params: StudentParams, dataset: SequenceDataset,
     """
     _check_fusion(fusion, fusion_readout)
     rows = dataset.rows(split)
-    timer = {"predict": 0.0}
-
-    def score_rows(batch):
-        t0 = time.perf_counter()
-        fused = None
-        if fusion != "stkd":
-            fused = fusion_readout(batch)
-        probs, _ = predict_scores(dataset.items[batch], dataset.regions[batch],
-                                  dataset.dists[batch], params, fused=fused,
-                                  fusion=fusion)
-        timer["predict"] += time.perf_counter() - t0
-        return probs.data
-
-    acc = _ranked_metrics(score_rows, dataset, rows, cfg.k_list,
-                          _draw_negatives(dataset, rows, cfg.n_negatives,
-                                          cfg.seed, params.n_takeaways))
-    counts = {"n_instances": acc.n_instances, "n_truncated": acc.n_truncated}
+    negatives, truncated = _draw_negatives(dataset, rows, cfg.n_negatives,
+                                           cfg.seed, params.n_takeaways)
+    ranks, predict_seconds = _target_ranks(
+        _student_scores(params, dataset, fusion, fusion_readout), dataset,
+        rows, negatives)
+    hr, ndcg = _means(ranks, cfg.k_list)
+    counts = {"n_instances": int(rows.size),
+              "n_truncated": int(np.count_nonzero(truncated))}
     if counters is not None:
         counts.update(counters.snapshot())
-    return MetricsReport(hr={k: acc.hr(k) for k in cfg.k_list},
-                         ndcg={k: acc.ndcg(k) for k in cfg.k_list},
-                         counts=counts, train_seconds=train_seconds,
-                         predict_seconds=timer["predict"],
+    return MetricsReport(hr=hr, ndcg=ndcg, counts=counts,
+                         train_seconds=train_seconds,
+                         predict_seconds=predict_seconds,
                          config=cfg.to_dict(), seed=cfg.seed, split=split)
 
 

@@ -351,10 +351,14 @@ def joint_loss(kd: Tensor | float, rec: Tensor | float, alpha: float) -> Tensor:
 
 
 def recommend(x, x_c, x_f, params: StudentParams, k: int = 10):
-    """Top-k (item id, probability) pairs for one sequence, most probable
-    first and ties in id order; min(k, |V|) pairs, never the padding id 0."""
+    """Top-k (item id, probability) pairs for one sequence (a 1-D window or
+    a batch of one), most probable first and ties in id order; min(k, |V|)
+    pairs, never the padding id 0."""
     if k < 1:
         raise InvalidArgumentError(f"k must be at least 1, got {k}")
+    if np.shape(x)[:-1] not in ((), (1,)):
+        raise InvalidArgumentError(
+            f"recommend serves one sequence, got shape {np.shape(x)}")
     with T.no_tape():
         probs, _ = predict_scores(x, x_c, x_f, params)
     items = probs.data[0, 1:]                 # column j holds item id j + 1

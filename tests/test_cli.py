@@ -79,6 +79,16 @@ def test_evaluate_k_override(workspace, capsys):
     assert (out / "metrics_valid.json").exists()
 
 
+@pytest.mark.parametrize("cutoffs", ["5,x", "0,10", ","])
+def test_evaluate_bad_k_reports_error(workspace, capsys, cutoffs):
+    root, out, synth, train = workspace
+    code = main(["evaluate", "--config", train, "--k", cutoffs])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert "--k" in captured.err or "k_list" in captured.err
+
+
 def test_ablate_command(workspace, capsys):
     root, out, synth, train = workspace
     summary = run(capsys, "ablate", "--config", train,

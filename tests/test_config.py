@@ -43,6 +43,13 @@ def test_list_entries_must_be_integers():
             SyntheticConfig(**bad)
 
 
+def test_k_list_needs_cutoffs_of_at_least_one():
+    assert TrainConfig(k_list=[1, 10]).k_list == (1, 10)
+    for bad in ((), (0, 10), (5, -1)):
+        with pytest.raises(ConfigError, match="k_list"):
+            TrainConfig(k_list=bad)
+
+
 def test_every_train_config_field_is_read_by_the_package():
     # a field no module reads is a knob that silently does nothing: read it
     # or delete it

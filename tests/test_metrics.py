@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from stkd.errors import InvalidArgumentError
-from stkd.metrics import (MetricAccumulator, hit_rate_at_k, ndcg_at_k,
-                          rank_of_target, sample_negatives)
+from stkd.metrics import (hit_rate_at_k, ndcg_at_k, rank_of_target,
+                          sample_negatives)
 
 
 def oracle_rank(target_score, negative_scores):
@@ -115,24 +115,32 @@ def test_negative_sampling_validation():
         sample_negatives(1, 3, np.array([]), 10, n_negatives=0)
 
 
-def test_accumulator_streaming_means():
-    acc = MetricAccumulator(k_list=(5, 10))
-    ranks = [1, 2, 6, 11, 3]
-    for r in ranks:
-        acc.add(r)
+def test_means_from_a_rank_array():
+    ranks = np.array([1, 2, 6, 11, 3])
     hr5 = np.mean([1.0 if r <= 5 else 0.0 for r in ranks])
     ndcg10 = np.mean([1.0 / np.log2(r + 1) if r <= 10 else 0.0 for r in ranks])
-    assert acc.hr(5) == pytest.approx(hr5, abs=1e-15)
-    assert acc.ndcg(10) == pytest.approx(ndcg10, abs=1e-15)
-    assert acc.n_instances == 5
-    d = acc.as_dict()
-    assert d["hr"]["5"] == acc.hr(5)
-    assert d["n_truncated"] == 0
+    assert hit_rate_at_k(ranks, 5).mean() == pytest.approx(hr5, abs=1e-15)
+    assert ndcg_at_k(ranks, 10).mean() == pytest.approx(ndcg10, abs=1e-15)
+    # the array forms are the scalar calls, element by element
+    for k in (1, 5, 10):
+        assert hit_rate_at_k(ranks, k).tolist() == [hit_rate_at_k(int(r), k)
+                                                    for r in ranks]
+        assert ndcg_at_k(ranks, k).tolist() == [ndcg_at_k(int(r), k)
+                                                for r in ranks]
+    with pytest.raises(InvalidArgumentError):
+        ndcg_at_k(np.array([3, 0, 1]), 10)
 
 
-def test_accumulator_counts_truncated():
-    acc = MetricAccumulator(k_list=(10,))
-    acc.add(1, truncated=True)
-    acc.add(2, truncated=False)
-    assert acc.n_truncated == 1
-    assert acc.n_instances == 2
+def test_batch_rank_with_target_padding():
+    # a batch ranks row by row, and padding a short row with its own
+    # target's score never moves its rank
+    rng = np.random.default_rng(7)
+    negs = rng.standard_normal((6, 9))
+    targets = rng.standard_normal(6)
+    negs[2, 4:] = targets[2]
+    negs[5, :] = targets[5]         # an empty pool, all padding
+    got = rank_of_target(targets, negs)
+    assert got.tolist() == [rank_of_target(t, n)
+                            for t, n in zip(targets, negs)]
+    assert got[2] == rank_of_target(targets[2], negs[2, :4])
+    assert got[5] == 1

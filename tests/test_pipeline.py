@@ -1,5 +1,7 @@
 """Training pipeline: reports, caching, early stopping, ablations, fusion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from stkd.errors import (ConsistencyError, InvalidArgumentError,
 from stkd.events import ingest_events
 from stkd.graph import build_stkg
 from stkd.instrument import Counters
+from stkd.metrics import (hit_rate_at_k, ndcg_at_k, rank_of_target,
+                          sample_negatives)
 from stkd.pipeline import (ABLATION_VARIANTS, FUSION_STRATEGIES,
                            MetricsReport, SubgraphProvider, TeacherSignal,
                            ablate, ablate_fusion, compute_soft_labels,
@@ -17,8 +21,10 @@ from stkd.pipeline import (ABLATION_VARIANTS, FUSION_STRATEGIES,
                            pretrain_teacher, save_soft_labels, sweep,
                            variant_alpha)
 from stkd.sequences import build_sequences
+from stkd.student import predict_scores
 from stkd.synthetic import SyntheticConfig, generate_synthetic
 from stkd.teacher import teacher_forward, teacher_readout
+from stkd.tensor import no_tape
 
 
 @pytest.fixture(scope="module")
@@ -379,6 +385,63 @@ def test_evaluate_hr_monotone_in_k(student, world):
     assert rep.hr[5] <= rep.hr[10] <= rep.hr[20]
     assert rep.ndcg[5] <= rep.ndcg[10] <= rep.ndcg[20]
     assert rep.split == "valid"
+
+
+def _per_row_metrics(params, dataset, cfg, split):
+    """Reference: the per-row loop that evaluation ran before it ranked
+    whole batches, with each row's HR/NDCG added to a running sum."""
+    rows = dataset.rows(split)
+    hr = dict.fromkeys(cfg.k_list, 0.0)
+    ndcg = dict.fromkeys(cfg.k_list, 0.0)
+    n_truncated = 0
+    for start in range(0, rows.size, 256):
+        batch = rows[start:start + 256]
+        with no_tape():
+            probs, _ = predict_scores(dataset.items[batch],
+                                      dataset.regions[batch],
+                                      dataset.dists[batch], params)
+        for i, row in enumerate(batch):
+            user, target = int(dataset.user[row]), int(dataset.target[row])
+            negs, truncated = sample_negatives(
+                user, target, dataset.purchased_by(user), params.n_takeaways,
+                cfg.n_negatives, cfg.seed)
+            rank = rank_of_target(probs.data[i, target], probs.data[i, negs])
+            n_truncated += truncated
+            for k in cfg.k_list:
+                hr[k] += hit_rate_at_k(rank, k)
+                ndcg[k] += ndcg_at_k(rank, k)
+    return ({k: v / rows.size for k, v in hr.items()},
+            {k: v / rows.size for k, v in ndcg.items()}, n_truncated)
+
+
+def _buys_everything(dataset, user, n_takeaways):
+    """``dataset`` with ``user``'s purchase history set to every item, so
+    that user's evaluation rows have an empty negative pool."""
+    bought = [np.arange(1, n_takeaways + 1) if u == user
+              else dataset.purchased_by(u)
+              for u in range(dataset.purchased_indptr.size - 1)]
+    indptr = np.concatenate(([0], np.cumsum([b.size for b in bought])))
+    return dataclasses.replace(dataset, purchased_indptr=indptr,
+                               purchased_items=np.concatenate(bought))
+
+
+@pytest.mark.parametrize("split", ["valid", "test"])
+def test_batch_ranking_matches_the_per_row_loop(student, world, split):
+    # 50 negatives exceed the pools of some users (45-55 unbought items
+    # here) but not of others, and one user has bought every item
+    dataset, _, vocab = world
+    result, _ = student
+    cfg = tiny_cfg(n_negatives=50, k_list=(1, 5, 10, 20))
+    rows = dataset.rows(split)
+    dataset = _buys_everything(dataset, int(dataset.user[rows[0]]),
+                               vocab.n_takeaways)
+    assert dataset.purchased_by(int(dataset.user[rows[0]])).size == 60
+    hr, ndcg, n_truncated = _per_row_metrics(result.params, dataset, cfg,
+                                             split)
+    assert 1 < n_truncated < rows.size
+    rep = evaluate(result.params, dataset, cfg, split=split)
+    assert rep.hr == hr and rep.ndcg == ndcg
+    assert rep.counts["n_truncated"] == n_truncated
 
 
 def test_evaluate_fusion_requires_readout(student, world):

@@ -629,6 +629,16 @@ def test_recommend_k_beyond_vocabulary_returns_every_item_once():
     assert probs == sorted(probs, reverse=True)
 
 
+def test_recommend_serves_one_sequence():
+    p = micro(n_takeaways=6)
+    x = np.array([[0, 1, 2, 3], [4, 5, 6, 1]])
+    zc = np.zeros((2, 4), int)
+    with pytest.raises(InvalidArgumentError):
+        recommend(x, zc, zc, p)
+    window = recommend(x[1], zc[1], zc[1], p)
+    assert recommend(x[1:], zc[1:], zc[1:], p) == window
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 8])
 def test_recommend_ties_at_the_cut_follow_id_order(k):
     p = micro(n_takeaways=8)

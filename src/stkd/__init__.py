@@ -30,7 +30,7 @@ from .geo import (bucketize_distance, geohash6_centroid, is_valid_geohash6,
                   spherical_distance)
 from .graph import Stkg, Subgraph, build_stkg, graph_stats, sample_subgraph
 from .metrics import hit_rate_at_k, ndcg_at_k, rank_of_target, sample_negatives
-from .optim import Adam, AdamState, adam_step
+from .optim import Adam
 from .pipeline import (ABLATION_VARIANTS, FUSION_STRATEGIES, MetricsReport,
                        SubgraphProvider, TeacherSignal, TrainResult, ablate,
                        ablate_fusion, compute_soft_labels, distill, evaluate,
@@ -48,14 +48,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ABLATION_VARIANTS", "FUSION_STRATEGIES",
-    "Adam", "AdamState", "ConfigError", "ConsistencyError",
+    "Adam", "ConfigError", "ConsistencyError",
     "DataQualityError", "GeohashParseError",
     "InvalidArgumentError", "InvalidSampleError", "MetricsReport",
     "PurchaseEvent", "SequenceDataset",
     "Stkg", "StkdError", "StudentParams", "Subgraph", "SubgraphProvider",
     "SyntheticConfig", "TeacherParams", "TeacherSignal", "Tensor",
     "TrainConfig", "TrainResult", "Vocab", "VocabMismatchError",
-    "ablate", "ablate_fusion", "adam_step", "bucketize_distance",
+    "ablate", "ablate_fusion", "bucketize_distance",
     "build_sequences", "build_stkg", "compute_soft_labels", "distill",
     "encode", "evaluate",
     "generate_synthetic", "geohash6_centroid",

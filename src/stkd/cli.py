@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .artifacts import read_json, write_json
@@ -41,11 +42,11 @@ from .config import TrainConfig, config_from_dict
 from .errors import ConfigError, DataQualityError, StkdError
 from .events import ingest_events
 from .graph import Stkg, build_stkg, graph_stats
-from .instrument import Counters
 from .pipeline import (ABLATION_VARIANTS, FUSION_STRATEGIES, SubgraphProvider,
                        TeacherSignal, ablate, ablate_fusion,
                        compute_soft_labels, distill, evaluate, load_soft_labels,
-                       pretrain_teacher, save_soft_labels, sweep)
+                       pretrain_teacher, save_soft_labels, sweep,
+                       variant_alpha)
 from .sequences import (SequenceDataset, build_sequences, load_vocab,
                         save_vocab)
 from .synthetic import SyntheticConfig, write_synthetic
@@ -154,7 +155,7 @@ def cmd_pretrain(args) -> int:
     out = _out_dir(cfg)
     dataset, vocab = _load_prepared(cfg)
     stkg = Stkg.load(_graph_path(cfg), vocab.content_hash())
-    counters = Counters()
+    counters = Counter()
     provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed, counters)
     result = pretrain_teacher(cfg, dataset, stkg, vocab.n_users,
                               vocab.n_takeaways, counters, provider)
@@ -168,7 +169,7 @@ def cmd_pretrain(args) -> int:
               "epochs_run": result.epochs_run, "aborted": result.aborted,
               "train_seconds": result.train_seconds,
               "final_loss": result.loss_trace[-1] if result.loss_trace else None,
-              "counters": counters.snapshot(), "config": cfg.to_dict()}
+              "counters": dict(counters), "config": cfg.to_dict()}
     write_json(out / "pretrain_report.json", report)
     print(json.dumps({k: report[k] for k in
                       ("best_ndcg10", "best_epoch", "epochs_run", "aborted")}))
@@ -181,7 +182,7 @@ def cmd_distill(args) -> int:
     dataset, vocab = _load_prepared(cfg)
     variant = args.variant or "full"
     signal = None
-    if cfg.alpha > 0.0 and variant not in ("no_kd", "no_sp_kd"):
+    if variant_alpha(cfg, variant) > 0.0:
         rows, probs, _ = load_soft_labels(out / "soft_labels.npz",
                                           vocab.content_hash())
         signal = TeacherSignal(rows, probs)
@@ -222,9 +223,8 @@ def cmd_evaluate(args) -> int:
     report_path = out / "distill_report.json"
     if report_path.exists():
         train_seconds = read_json(report_path).get("train_seconds", 0.0)
-    counters = Counters()
     report = evaluate(student, dataset, cfg, split=args.split,
-                      train_seconds=train_seconds, counters=counters)
+                      train_seconds=train_seconds)
     report.save(out / f"metrics_{args.split}.json")
     print(json.dumps(report.to_dict(), sort_keys=True))
     return 0

@@ -127,11 +127,3 @@ def bucketize_distance(km: float) -> int:
     if km < 0:
         raise InvalidArgumentError(f"distance must be non-negative, got {km}")
     return int(np.searchsorted(_EDGES, km, side="right"))
-
-
-def bucketize_distances(km: np.ndarray) -> np.ndarray:
-    """Vectorized bucketize_distance."""
-    km = np.asarray(km)
-    if km.size and km.min() < 0:
-        raise InvalidArgumentError("distances must be non-negative")
-    return np.searchsorted(_EDGES, km, side="right").astype(np.int64)

@@ -55,10 +55,7 @@ class Stkg:
         self.n_users = n_users
         self.n_takeaways = n_takeaways
         self.attr_entities = attr_entities
-        self.attr_entity_index = {key: n_users + n_takeaways + i
-                                  for i, key in enumerate(attr_entities)}
         self.relations = relations
-        self.relation_index = {key: i for i, key in enumerate(relations)}
         self.indptr = indptr
         self.neighbors = neighbors
         self.rels = rels

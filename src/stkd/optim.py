@@ -7,47 +7,26 @@ import numpy as np
 from .errors import ConfigError
 from .tensor import Tensor
 
-
-class AdamState:
-    """First/second moment buffers plus the shared step counter."""
-
-    def __init__(self, shapes, dtype=np.float64):
-        self.m = [np.zeros(s, dtype=dtype) for s in shapes]
-        self.v = [np.zeros(s, dtype=dtype) for s in shapes]
-        self.t = 0
-
-
-def adam_step(params, grads, state: AdamState, lr: float = 0.001,
-              beta1: float = 0.9, beta2: float = 0.98, eps: float = 1e-8):
-    """One Adam update applied in place to a list of numpy parameter arrays.
-
-    m <- b1*m + (1-b1)*g ; v <- b2*v + (1-b2)*g^2
-    p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
-    """
-    state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        if lr != 0.0:
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+EPS = 1e-8
 
 
 class Adam:
-    """Adam over a dict of named Tensor parameters.
+    """Adam (Kingma & Ba, ICLR 2015) over a dict of named Tensor parameters,
+    updated in place by ``step()``:
 
-    `freeze_rows[name]` lists row indices whose gradient is zeroed before the
-    update (used to pin padding-embedding rows at zero); `freeze[name] = True`
-    freezes a parameter entirely.
+    m <- b1*m + (1-b1)*g ; v <- b2*v + (1-b2)*g^2
+    p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + EPS)
+
+    A parameter without a gradient takes a zero one.  `freeze_rows[name]`
+    lists row indices whose gradient is zeroed before the update: their
+    moments stay 0, so their update is exactly +0.0 and a padding row that
+    starts at zero stays there.  A parameter left out of ``params`` is
+    constant.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.98, eps: float = 1e-8,
-                 freeze_rows: dict[str, list[int]] | None = None,
-                 freeze: set[str] | None = None):
+                 beta1: float = 0.9, beta2: float = 0.98,
+                 freeze_rows: dict[str, list[int]] | None = None):
         if lr < 0:
             raise ConfigError(f"learning rate must be >= 0, got {lr}")
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
@@ -56,32 +35,28 @@ class Adam:
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
         self.freeze_rows = freeze_rows or {}
-        self.freeze = freeze or set()
-        self.names = sorted(params.keys())
-        self.state = AdamState([params[n].data.shape for n in self.names],
-                               dtype=params[next(iter(params))].data.dtype
-                               if params else np.float64)
+        self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
+        self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
+        self.t = 0
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
 
     def step(self) -> None:
-        grads = []
-        for n in self.names:
-            p = self.params[n]
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for n, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if n in self.freeze:
-                g = np.zeros_like(g)
-            elif n in self.freeze_rows:
+            if n in self.freeze_rows:
                 g = g.copy()
                 g[self.freeze_rows[n]] = 0.0
-            grads.append(g)
-        adam_step([self.params[n].data for n in self.names], grads, self.state,
-                  lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps)
-        # A frozen row can still drift through the eps term once its moments are
-        # nonzero; they never become nonzero here, but re-pin defensively.
-        for n, rows_ in self.freeze_rows.items():
-            self.params[n].data[rows_] = 0.0
+            m, v = self.m[n], self.v[n]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            if self.lr != 0.0:
+                p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)

@@ -28,6 +28,7 @@ and charges its training time to exactly the arms that read it."""
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,6 @@ from .artifacts import read_npz, write_json, write_npz
 from .config import STREAM_SHUFFLE, TrainConfig, rng_for
 from .errors import ConsistencyError, InvalidArgumentError
 from .graph import Stkg, Subgraph, sample_subgraph
-from .instrument import Counters
 from .metrics import (hit_rate_at_k, ndcg_at_k, rank_of_target,
                       sample_negatives)
 from .optim import Adam
@@ -48,6 +48,7 @@ from .teacher import (TeacherParams, pretrain_step, teacher_forward,
 from .tensor import CLAMP, Tensor, no_tape
 
 SOFT_LABEL_FORMAT_VERSION = 2
+SCORE_BATCH = 256       # rows per pass that nothing backpropagates through
 FUSION_STRATEGIES = ("stkd", "add", "cat", "multi")
 ABLATION_VARIANTS = ("full", "no_kd", "no_sp", "no_sp_kd", "no_c", "no_f")
 
@@ -163,7 +164,7 @@ class SubgraphProvider:
 
     def __init__(self, dataset: SequenceDataset, stkg: Stkg,
                  fanouts: tuple[int, int], seed: int,
-                 counters: Counters | None = None):
+                 counters: Counter | None = None):
         self.dataset = dataset
         self.stkg = stkg
         self.fanouts = tuple(fanouts)
@@ -179,7 +180,7 @@ class SubgraphProvider:
                                  int(self.dataset.user[row]), self.stkg,
                                  self.fanouts, self.seed, sid)
             if self.counters is not None:
-                self.counters.bump("subgraph_samples")
+                self.counters["subgraph_samples"] += 1
             self._cache[sid] = sg
         return sg
 
@@ -270,14 +271,15 @@ def _target_ranks(score_rows, dataset: SequenceDataset, rows: np.ndarray,
     ``_draw_negatives`` table), and the seconds spent in ``score_rows``.
 
     ``score_rows(batch_rows) -> (b, |V|+1) ndarray`` produces model scores,
-    with the tape off.  Ranking is model-agnostic: per batch, one gather of
-    the target and negative scores and one ``rank_of_target`` call.
+    with the tape off.  Ranking is model-agnostic: per batch of
+    ``SCORE_BATCH`` rows, one gather of the target and negative scores and
+    one ``rank_of_target`` call.
     """
     ids = np.column_stack((dataset.target[rows], negatives))  # target first
     ranks = np.empty(rows.size, dtype=np.int64)
     seconds = 0.0
-    for start in range(0, rows.size, 256):
-        part = slice(start, start + 256)
+    for start in range(0, rows.size, SCORE_BATCH):
+        part = slice(start, start + SCORE_BATCH)
         t0 = time.perf_counter()
         with no_tape():
             scores = score_rows(rows[part])
@@ -321,7 +323,7 @@ def build_teacher(cfg: TrainConfig, stkg: Stkg, n_users: int,
 
 
 def _teacher_val_ndcg(params: TeacherParams, provider: SubgraphProvider,
-                      dataset: SequenceDataset, counters: Counters | None,
+                      dataset: SequenceDataset, counters: Counter | None,
                       negatives: np.ndarray) -> float:
     def score_rows(batch):
         return teacher_forward(provider.batch(batch), params, counters).data
@@ -331,7 +333,7 @@ def _teacher_val_ndcg(params: TeacherParams, provider: SubgraphProvider,
 
 def pretrain_teacher(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
                      n_users: int, n_takeaways: int,
-                     counters: Counters | None = None,
+                     counters: Counter | None = None,
                      provider: SubgraphProvider | None = None) -> TrainResult:
     """Train the graph teacher with early stopping on validation NDCG@10
     (the loop is ``_fit``)."""
@@ -359,15 +361,15 @@ def pretrain_teacher(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
 def compute_soft_labels(params: TeacherParams, provider: SubgraphProvider,
                         dataset: SequenceDataset,
                         rows: np.ndarray | None = None,
-                        batch_size: int = 256,
-                        counters: Counters | None = None):
-    """Teacher probabilities for every requested row; returns (rows, probs)."""
+                        counters: Counter | None = None):
+    """Teacher probabilities for every requested row (default: the training
+    rows), ``SCORE_BATCH`` rows per forward; returns (rows, probs)."""
     if rows is None:
         rows = dataset.rows("train")
     out = np.zeros((rows.size, params.n_takeaways + 1))
     with no_tape():
-        for start in range(0, rows.size, batch_size):
-            batch = rows[start:start + batch_size]
+        for start in range(0, rows.size, SCORE_BATCH):
+            batch = rows[start:start + SCORE_BATCH]
             probs = teacher_forward(provider.batch(batch), params, counters)
             out[start:start + batch.size] = probs.data
     return rows.astype(np.int64), out
@@ -420,14 +422,16 @@ def build_student(cfg: TrainConfig, n_takeaways: int,
                          dropout=cfg.dropout, seed=cfg.seed)
 
 
-def _apply_variant(params: StudentParams, opt: Adam, variant: str) -> None:
-    """Zero and freeze the parameter groups a variant removes."""
+def _apply_variant(params: StudentParams, variant: str) -> dict[str, Tensor]:
+    """Make the parameter groups a variant removes zero constants (no
+    gradient reaches them); returns the parameters left to train."""
     spatial = ("region_emb", "dist_emb", "W_SP")
     groups = {"no_sp": spatial, "no_sp_kd": spatial, "no_c": ("region_emb",),
               "no_f": ("dist_emb",)}.get(variant, ())
     for name in groups:
         getattr(params, name).data[:] = 0.0
-        opt.freeze.add(name)
+        getattr(params, name).requires_grad = False
+    return {n: t for n, t in params.as_dict().items() if n not in groups}
 
 
 def variant_alpha(cfg: TrainConfig, variant: str) -> float:
@@ -463,11 +467,11 @@ def distill(cfg: TrainConfig, dataset: SequenceDataset, n_takeaways: int,
     """Train the student on the joint objective with early stopping (the
     loop is ``_fit``).
 
-    ``variant`` selects the ablation (parameter-group freezing and the KD
-    blend).  ``fusion`` other than "stkd" replaces distillation with feature
-    fusion: ``fusion_readout(rows) -> Tensor (b, d)`` supplies the teacher
-    representation merged into the prediction anchor, and the objective
-    reduces to the recommendation loss.
+    ``variant`` selects the ablation (the parameter groups it removes and
+    the KD blend).  ``fusion`` other than "stkd" replaces distillation with
+    feature fusion: ``fusion_readout(rows) -> Tensor (b, d)`` supplies the
+    teacher representation merged into the prediction anchor, and the
+    objective reduces to the recommendation loss.
     """
     _check_fusion(fusion, fusion_readout)
     alpha = variant_alpha(cfg, variant)     # also rejects an unknown variant
@@ -478,9 +482,8 @@ def distill(cfg: TrainConfig, dataset: SequenceDataset, n_takeaways: int,
             "alpha > 0 requires teacher soft labels; pass a TeacherSignal")
 
     params = build_student(cfg, n_takeaways, n_regions)
-    opt = Adam(params.as_dict(), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-               freeze_rows=params.pad_frozen_rows())
-    _apply_variant(params, opt, variant)
+    opt = Adam(_apply_variant(params, variant), lr=cfg.lr, beta1=cfg.beta1,
+               beta2=cfg.beta2, freeze_rows=params.pad_frozen_rows())
 
     def step(batch, i):
         fused = None
@@ -519,7 +522,7 @@ def evaluate(params: StudentParams, dataset: SequenceDataset,
              cfg: TrainConfig, split: str = "test",
              train_seconds: float = 0.0, fusion: str = "stkd",
              fusion_readout=None,
-             counters: Counters | None = None) -> MetricsReport:
+             counters: Counter | None = None) -> MetricsReport:
     """Rank each held-out target against sampled negatives.
 
     ``predict_seconds`` accumulates only model forward time (including any
@@ -536,7 +539,7 @@ def evaluate(params: StudentParams, dataset: SequenceDataset,
     counts = {"n_instances": int(rows.size),
               "n_truncated": int(np.count_nonzero(truncated))}
     if counters is not None:
-        counts.update(counters.snapshot())
+        counts.update(counters)
     return MetricsReport(hr=hr, ndcg=ndcg, counts=counts,
                          train_seconds=train_seconds,
                          predict_seconds=predict_seconds,
@@ -579,7 +582,7 @@ def _study(dataset: SequenceDataset, stkg: Stkg, n_users: int,
     teachers: dict[tuple[int, ...], tuple] = {}
     reports: dict[str, MetricsReport] = {}
     for label, (cfg, variant, fusion) in arms.items():
-        counters = Counters()
+        counters = Counter()
         teacher = signal = readout = None
         if fusion != "stkd" or distills(cfg, variant, fusion):
             if cfg.fanouts not in teachers:

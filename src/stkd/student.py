@@ -267,13 +267,13 @@ def _anchor(x, x_c, x_f, params: StudentParams, train: bool, seed: int,
     return h_star
 
 
-def predict_scores(x, x_c, x_f, params: StudentParams, train: bool = False,
-                   seed: int = 0, step: int = 0,
+def predict_scores(x, x_c, x_f, params: StudentParams,
                    fused: Tensor | None = None,
                    fusion: str = "stkd") -> tuple[Tensor, Tensor]:
-    """Returns (probs (b, |V|+1) with pad column 0, raw logits (b, |V|+1));
-    `fused` and `fusion` as in ``_anchor``."""
-    return score_items(_anchor(x, x_c, x_f, params, train, seed, step,
+    """Inference scores: (probs (b, |V|+1) with pad column 0, raw logits
+    (b, |V|+1)); `fused` and `fusion` as in ``_anchor``.  Training reads
+    ``predict_logits``."""
+    return score_items(_anchor(x, x_c, x_f, params, False, 0, 0,
                                fused, fusion), params)
 
 
@@ -281,8 +281,9 @@ def predict_logits(x, x_c, x_f, params: StudentParams, train: bool = False,
                    seed: int = 0, step: int = 0,
                    fused: Tensor | None = None,
                    fusion: str = "stkd") -> Tensor:
-    """The logits of ``predict_scores`` without its softmax: both training
-    losses take logits."""
+    """The logits of ``predict_scores`` without its softmax, also in
+    training mode (``train``, with its dropout stream keyed by ``seed`` and
+    ``step``): both training losses take logits."""
     h_star = _anchor(x, x_c, x_f, params, train, seed, step, fused, fusion)
     return h_star @ T.swapaxes(params.item_emb, 0, 1)
 

@@ -18,13 +18,14 @@ the same logits through ``log_softmax``.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from . import tensor as T
 from .config import STREAM_INIT_TEACHER, rng_for
 from .errors import ConfigError, InvalidSampleError
 from .graph import Stkg, Subgraph
-from .instrument import Counters
 from .optim import Adam
 from .tensor import Tensor
 
@@ -138,7 +139,7 @@ def _needed_rows(edges: np.ndarray, readout: np.ndarray, n_total: int,
 
 
 def gnn_forward(subgraphs: list[Subgraph], params: TeacherParams,
-                counters: Counters | None = None):
+                counters: Counter | None = None):
     """Run message passing; returns (H_x (b,n,d), H_u (b,d), pad mask (b,n)).
 
     Each layer updates only the rows that a later layer or the readout reads
@@ -146,7 +147,7 @@ def gnn_forward(subgraphs: list[Subgraph], params: TeacherParams,
     so the rows the readout reads come out as if every row were updated.
     """
     if counters is not None:
-        counters.bump("teacher_forwards")
+        counters["teacher_forwards"] += 1
     nodes, edges, centers, users, n_total = _union_batch(subgraphs)
     real = centers >= 0
     order, sizes, pos = _needed_rows(
@@ -170,8 +171,8 @@ def gnn_forward(subgraphs: list[Subgraph], params: TeacherParams,
         h = T.relu(T.concat([m, T.rows(h, 0, n_out)], axis=1)
                    @ params.combine_W[l] + params.combine_b[l])
         if counters is not None:
-            counters.bump("gnn_row_updates", n_out)
-            counters.bump("gnn_edge_messages", int(kept.sum()))
+            counters["gnn_row_updates"] += n_out
+            counters["gnn_edge_messages"] += int(kept.sum())
 
     # a pad position reads row 0, which every layer holds, and is zeroed
     H_x = (T.take_rows(h, np.where(real, pos[centers], 0))
@@ -236,7 +237,7 @@ def soft_labels(H_gated: Tensor, params: TeacherParams,
 
 
 def teacher_readout(subgraphs: list[Subgraph], params: TeacherParams,
-                    counters: Counters | None = None) -> Tensor:
+                    counters: Counter | None = None) -> Tensor:
     """Pooled graph representation r (b, d), which pre-training scores and
     the feature-fusion strategies merge into the student."""
     H_x, H_u, real = gnn_forward(subgraphs, params, counters)
@@ -246,7 +247,7 @@ def teacher_readout(subgraphs: list[Subgraph], params: TeacherParams,
 
 
 def teacher_forward(subgraphs: list[Subgraph], params: TeacherParams,
-                    counters: Counters | None = None):
+                    counters: Counter | None = None):
     """Full pipeline; returns the soft-label probabilities (b, |V|+1)."""
     H_x, H_u, real = gnn_forward(subgraphs, params, counters)
     H_gated = user_gate(H_x, H_u, params)
@@ -256,7 +257,7 @@ def teacher_forward(subgraphs: list[Subgraph], params: TeacherParams,
 
 def pretrain_loss(subgraphs: list[Subgraph], targets: np.ndarray,
                   params: TeacherParams,
-                  counters: Counters | None = None) -> Tensor:
+                  counters: Counter | None = None) -> Tensor:
     """Mean cross-entropy of the vocabulary logits against one-hot targets,
     taken in log space through ``log_softmax``."""
     targets = np.asarray(targets)
@@ -269,7 +270,7 @@ def pretrain_loss(subgraphs: list[Subgraph], targets: np.ndarray,
 
 def pretrain_step(subgraphs: list[Subgraph], targets: np.ndarray,
                   params: TeacherParams, opt: Adam,
-                  counters: Counters | None = None) -> float:
+                  counters: Counter | None = None) -> float:
     """One optimization step of ``pretrain_loss``."""
     loss = pretrain_loss(subgraphs, targets, params, counters)
     opt.zero_grad()

@@ -26,6 +26,8 @@ from .errors import InvalidArgumentError
 # Floor for a softmax normalizer (a row with no valid entry sums to 0) and
 # for probabilities whose log must stay finite.
 CLAMP = 1e-12
+# Added to the variance in ``layer_norm``.
+LN_EPS = 1e-6
 
 
 class Tensor:
@@ -298,29 +300,23 @@ def matmul(a, b) -> Tensor:
     return _link(out, (a, b), backward, "matmul")
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
+    """Sum over ``axis``, or over everything when it is None."""
     a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+    out = Tensor(a.data.sum(axis=axis))
 
     def backward(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape).copy())
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g, a.data.shape))
 
     return _link(out, (a,), backward, "sum")
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a) -> Tensor:
+    """Mean over every entry."""
     a = as_tensor(a)
-    if axis is None:
-        count = a.data.size
-    else:
-        count = a.data.shape[axis]
-    return div(tsum(a, axis=axis, keepdims=keepdims), float(count))
+    return div(tsum(a), float(a.data.size))
 
 
 def reshape(a, shape) -> Tensor:
@@ -459,14 +455,15 @@ def segment_sum(x, segments, num_segments: int) -> Tensor:
 # softmax family and losses
 # ---------------------------------------------------------------------------
 
-def masked_softmax(scores, valid=None, axis: int = -1) -> Tensor:
-    """Numerically stable softmax with optional boolean mask.
+def masked_softmax(scores, valid=None) -> Tensor:
+    """Numerically stable softmax over the last axis, with an optional
+    boolean mask that broadcasts to ``scores``.
 
     Masked entries get probability exactly 0; rows with no valid entry come
     out all-zero.
     """
     scores = as_tensor(scores)
-    if scores.data.shape[axis] == 0:
+    if scores.data.shape[-1] == 0:
         raise InvalidArgumentError("softmax over an empty axis")
     if valid is None:
         vmask = np.ones(scores.data.shape, dtype=bool)
@@ -474,15 +471,15 @@ def masked_softmax(scores, valid=None, axis: int = -1) -> Tensor:
         vmask = np.broadcast_to(np.asarray(valid, dtype=bool), scores.data.shape)
     # one fresh array, updated in place (as in ``log_softmax``)
     y = np.where(vmask, scores.data, -np.inf)
-    m = y.max(axis=axis, keepdims=True)
+    m = y.max(axis=-1, keepdims=True)
     y -= np.where(np.isfinite(m), m, 0.0)
     np.exp(y, out=y)
     np.copyto(y, 0.0, where=~vmask)
-    y /= np.maximum(y.sum(axis=axis, keepdims=True), CLAMP)
+    y /= np.maximum(y.sum(axis=-1, keepdims=True), CLAMP)
     out = Tensor(y)
 
     def backward(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
+        inner = (g * y).sum(axis=-1, keepdims=True)
         _accum(scores, y * (g - inner))
 
     return _link(out, (scores,), backward, "softmax")
@@ -532,14 +529,14 @@ def batch_cross_entropy(log_probs, targets) -> Tensor:
 # normalization / regularization
 # ---------------------------------------------------------------------------
 
-def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale-shift."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.data.shape[-1]
     c = x.data - x.data.mean(axis=-1, keepdims=True)
     # np.var's own arithmetic, on the centred array this needs anyway
     var = (c * c).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = c * inv
     y = xhat * gain.data
     y += bias.data

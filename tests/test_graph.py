@@ -96,6 +96,34 @@ def test_heldout_purchases_contribute_no_user_item_triples():
     assert linked_items == {vocab.takeaways["t1"], vocab.takeaways["t2"]}
 
 
+@pytest.mark.parametrize("purchases", [2, 3, 18])
+def test_graph_and_sequences_hide_the_same_purchases(purchases):
+    # graph.training_purchase_counts and build_sequences' leave-one-out split
+    # must hide the same purchases: a user's time:/dist: edges reach exactly
+    # the takeaways its training rows read, as prefix items or targets
+    events, vocab, _ = ingest_events(generate_synthetic(SyntheticConfig(
+        n_users=20, n_takeaways=40, n_regions=4, events_per_user=purchases,
+        seed=purchases)))
+    g = build_stkg(events, vocab)
+    ds = build_sequences(events, vocab, n=4)
+    first_item = {}
+    for ev in events:
+        first_item.setdefault(vocab.users[ev.user_id],
+                              vocab.takeaways[ev.takeaway_id])
+    train = ds.rows("train")
+    for uid in range(1, vocab.n_users + 1):
+        nbrs, rels = g.neighborhood(g.user_entity(uid))
+        joined = {int(x) - g.n_users + 1 for x, r in zip(nbrs, rels)
+                  if g.relations[r].split(":")[0] in ("time", "dist")}
+        mine = train[ds.user[train] == uid]
+        if mine.size:
+            read = set(ds.items[mine].ravel()) | set(ds.target[mine])
+            assert joined == read - {0}, uid
+        else:
+            # three purchases: valid and test targets only, no training row
+            assert purchases == 3 and joined == {first_item[uid]}, uid
+
+
 def test_user_prefixed_attributes_attach_to_the_user():
     g, _, vocab = build([line(user_region=REGION_A, category="c9")])
     u_ent = g.user_entity(vocab.users["u1"])

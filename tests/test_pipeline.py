@@ -1,6 +1,7 @@
 """Training pipeline: reports, caching, early stopping, ablations, fusion."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from stkd.errors import (ConsistencyError, InvalidArgumentError,
                          VocabMismatchError)
 from stkd.events import ingest_events
 from stkd.graph import build_stkg
-from stkd.instrument import Counters
 from stkd.metrics import (hit_rate_at_k, ndcg_at_k, rank_of_target,
                           sample_negatives)
 from stkd.pipeline import (ABLATION_VARIANTS, FUSION_STRATEGIES,
@@ -88,14 +88,14 @@ def test_report_rejects_mismatched_cutoffs():
 
 def test_provider_caches_and_counts(world):
     dataset, stkg, _ = world
-    counters = Counters()
+    counters = Counter()
     prov = SubgraphProvider(dataset, stkg, (4, 4), seed=0, counters=counters)
     a = prov.get(3)
     b = prov.get(3)
     assert a is b
-    assert counters.get("subgraph_samples") == 1
+    assert counters["subgraph_samples"] == 1
     prov.get(4)
-    assert counters.get("subgraph_samples") == 2
+    assert counters["subgraph_samples"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,7 @@ def test_provider_caches_and_counts(world):
 def pretrained(world):
     dataset, stkg, vocab = world
     cfg = tiny_cfg()
-    counters = Counters()
+    counters = Counter()
     prov = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed, counters)
     result = pretrain_teacher(cfg, dataset, stkg, vocab.n_users,
                               vocab.n_takeaways, counters, prov)
@@ -120,7 +120,7 @@ def test_pretrain_reduces_loss_and_sets_best(pretrained):
     assert result.best_epoch >= 0
     assert result.best_metric > 0.0
     assert result.train_seconds > 0.0
-    assert counters.get("teacher_forwards") > 0
+    assert counters["teacher_forwards"] > 0
 
 
 def _train(stage, cfg, world):
@@ -177,11 +177,12 @@ def test_soft_label_cache_round_trip(pretrained, world, tmp_path):
 def test_soft_labels_match_a_taped_teacher_forward(pretrained, world):
     result, prov, _ = pretrained
     dataset, _, _ = world
-    rows = dataset.rows("train")[:150]
-    _, probs = compute_soft_labels(result.params, prov, dataset, rows=rows,
-                                   batch_size=64)
-    taped = [teacher_forward(prov.batch(rows[i:i + 64]), result.params)
-             for i in range(0, rows.size, 64)]
+    rows = dataset.rows("train")[:300]    # a full batch and a partial one
+    assert rows.size > pipeline.SCORE_BATCH
+    _, probs = compute_soft_labels(result.params, prov, dataset, rows=rows)
+    taped = [teacher_forward(prov.batch(rows[i:i + pipeline.SCORE_BATCH]),
+                             result.params)
+             for i in range(0, rows.size, pipeline.SCORE_BATCH)]
     assert all(t._parents for t in taped)
     want = np.concatenate([t.data for t in taped])
     assert probs.tobytes() == want.tobytes()
@@ -256,6 +257,35 @@ def test_variant_freezing(world):
     full = distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
                    variant="full")
     assert np.abs(full.params.region_emb.data).max() > 0.0
+
+
+@pytest.mark.parametrize("variant, removed", [
+    ("no_sp", {"region_emb", "dist_emb", "W_SP"}),
+    ("no_c", {"region_emb"}),
+    ("no_f", {"dist_emb"}),
+])
+def test_removed_groups_are_constants(world, variant, removed, monkeypatch):
+    # a removed group stays +0.0, no gradient reaches it, and the optimizer
+    # never holds it
+    dataset, _, vocab = world
+    made = []
+
+    class Recorded(optim.Adam):
+        def __init__(self, params, **kw):
+            super().__init__(params, **kw)
+            made.append(self)
+
+    monkeypatch.setattr(pipeline, "Adam", Recorded)
+    res = distill(tiny_cfg(alpha=0.0, epochs=1), dataset, vocab.n_takeaways,
+                  vocab.n_regions, variant=variant)
+    (opt,) = made
+    assert opt.t > 0
+    assert set(opt.params) == set(res.params.as_dict()) - removed
+    assert set(opt.m) == set(opt.v) == set(opt.params)
+    for name in removed:
+        group = getattr(res.params, name)
+        assert group.grad is None and not group.requires_grad
+        assert group.data.tobytes() == np.zeros_like(group.data).tobytes()
 
 
 def test_unknown_variant_and_fusion_rejected(world):
@@ -364,7 +394,7 @@ def student(world):
 def test_evaluate_report_shape_and_determinism(student, world):
     dataset, _, _ = world
     result, cfg = student
-    counters = Counters()
+    counters = Counter()
     rep1 = evaluate(result.params, dataset, cfg, split="test",
                     train_seconds=result.train_seconds, counters=counters)
     rep2 = evaluate(result.params, dataset, cfg, split="test")
@@ -372,8 +402,8 @@ def test_evaluate_report_shape_and_determinism(student, world):
     assert rep1.counts["n_instances"] == dataset.rows("test").size
     assert set(rep1.hr) == {5, 10, 20}
     # the distilled inference path never touches the graph stack
-    assert counters.get("teacher_forwards") == 0
-    assert counters.get("subgraph_samples") == 0
+    assert counters["teacher_forwards"] == 0
+    assert counters["subgraph_samples"] == 0
     assert rep1.train_seconds == result.train_seconds
     assert rep1.predict_seconds > 0.0
 

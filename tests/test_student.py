@@ -351,16 +351,16 @@ def test_fusion_strategies_change_scores():
 
 @pytest.mark.parametrize("fusion", ["stkd", "cat"])
 def test_predict_logits_are_the_logits_of_predict_scores(fusion):
-    # training reads these logits; dropout draws and arithmetic must match
+    # training reads these logits, serving scores through predict_scores;
+    # the arithmetic must match (test_anchor_rows_match_the_full_encoder
+    # covers the training-mode anchor)
     p = micro(n_takeaways=10, dropout=0.3)
     x = np.array([[0, 1, 2, 3], [4, 5, 6, 1]])
     zc = np.zeros((2, 4), int)
     r = (Tensor(np.random.default_rng(4).standard_normal((2, p.d)))
          if fusion != "stkd" else None)
-    _, want = predict_scores(x, zc, zc, p, train=True, seed=5, step=3,
-                             fused=r, fusion=fusion)
-    got = predict_logits(x, zc, zc, p, train=True, seed=5, step=3, fused=r,
-                         fusion=fusion)
+    _, want = predict_scores(x, zc, zc, p, fused=r, fusion=fusion)
+    got = predict_logits(x, zc, zc, p, fused=r, fusion=fusion)
     np.testing.assert_array_equal(got.data, want.data)
 
 

@@ -1,5 +1,7 @@
 """Graph teacher: message passing, gating, readout, and pretraining."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from stkd.config import STREAM_SHUFFLE, TrainConfig, rng_for
 from stkd.errors import ConfigError, InvalidSampleError
 from stkd.events import ingest_events
 from stkd.graph import Subgraph, build_stkg
-from stkd.instrument import Counters
 from stkd.pipeline import SubgraphProvider, build_teacher
 from stkd.sequences import build_sequences
 from stkd.synthetic import SyntheticConfig, generate_synthetic
@@ -193,12 +194,12 @@ def test_pretrain_steps_reduce_loss_on_memorization_fixture():
 
 def test_counters_track_teacher_invocations():
     p = micro_params()
-    c = Counters()
+    c = Counter()
     sg = subgraph(nodes=[0, 4], centers=[0, -1, -1], user_index=1, edges=[])
     teacher_forward([sg], p, counters=c)
     teacher_forward([sg], p, counters=c)
-    assert c.get("teacher_forwards") == 2
-    assert c.get("anything_else") == 0
+    assert c["teacher_forwards"] == 2
+    assert c["anything_else"] == 0
 
 
 def test_teacher_gradients_match_finite_differences():
@@ -310,13 +311,13 @@ def test_pruned_row_and_edge_counts_on_edge_cases():
     # union rows: a 0-5, b 6-7, c 8-11 (12 rows, 9 edges)
     p = micro_params(n_entities=10, n_relations=3, n=4, d=3, layers=3,
                      n_users=2, n_takeaways=5)
-    c = Counters()
+    c = Counter()
     gnn_forward(_edge_cases()[0], p, c)
     # layer 3 (the readout): 0, 1, 2, 6, 7, 8, 9, 10; layer 2 adds their
     # children 3 and 11; layer 1 adds 4; row 5 is only read as a child
-    assert c.get("gnn_row_updates") == 11 + 10 + 8
+    assert c["gnn_row_updates"] == 11 + 10 + 8
     # edges whose parent the layer updates: 4 + 4, 3 + 4, 2 + 3
-    assert c.get("gnn_edge_messages") == 8 + 7 + 5
+    assert c["gnn_edge_messages"] == 8 + 7 + 5
 
 
 @pytest.fixture(scope="module")
@@ -346,9 +347,9 @@ def test_pruned_layers_match_unpruned_on_first_training_batch(
     assert_matches_reference(subgraphs, dataset.target[batch], p,
                              monkeypatch)
 
-    c = Counters()
+    c = Counter()
     gnn_forward(subgraphs, p, c)
     union_rows = sum(sg.n_nodes for sg in subgraphs)
     n_edges = sum(sg.edges.shape[0] for sg in subgraphs)
-    assert 0 < c.get("gnn_row_updates") < union_rows * layers
-    assert 0 < c.get("gnn_edge_messages") < n_edges * layers
+    assert 0 < c["gnn_row_updates"] < union_rows * layers
+    assert 0 < c["gnn_edge_messages"] < n_edges * layers

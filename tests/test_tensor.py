@@ -232,8 +232,9 @@ def test_grad_log_softmax_masked_and_temperature():
 
 def test_grad_sum_mean_axes():
     a = p((3, 4), seed=14)
-    check(lambda q: sumsq(T.tmean(q["a"], axis=1)), {"a": a})
-    check(lambda q: sumsq(T.tsum(q["a"], axis=0, keepdims=True)), {"a": a})
+    check(lambda q: sumsq(T.tsum(q["a"], axis=0)), {"a": a})
+    check(lambda q: sumsq(T.tsum(q["a"], axis=1)), {"a": a})
+    check(lambda q: sumsq(T.tmean(q["a"]) * q["a"]), {"a": a})
 
 
 def test_grad_reshape_swapaxes_concat():

@@ -53,20 +53,21 @@ cfg = TrainConfig(epochs=3, batch_size=128, n=8, d=32, heads=2, layers=2,
 # --- 4. pretrain the graph teacher ------------------------------------------
 # The teacher scores the next takeaway from a sampled neighborhood around
 # the window's items and user, trained with cross-entropy on train windows.
+# Its user and takeaway tables are sized by the graph; the provider refuses
+# a dataset and a graph built over different vocabularies.
 provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed)
-teacher = pretrain_teacher(cfg, dataset, stkg, vocab.n_users,
-                           vocab.n_takeaways, provider=provider)
+teacher = pretrain_teacher(cfg, dataset, stkg, provider=provider)
 print(f"teacher: best val NDCG@10 {teacher.best_metric:.3f} at epoch "
       f"{teacher.best_epoch} ({teacher.train_seconds:.1f}s)")
 
 # --- 5. cache soft labels and distill into the student ----------------------
 # The student is a causal transformer over (takeaway, region, distance
-# bucket) embeddings; its objective blends cross-entropy on the true next
-# item with KL against the teacher's softened distribution.
+# bucket) embeddings, sized by the dataset's vocabulary; its objective
+# blends cross-entropy on the true next item with KL against the teacher's
+# softened distribution.
 rows, probs = compute_soft_labels(teacher.params, provider, dataset)
 signal = TeacherSignal(rows, probs)
-student = distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
-                  signal=signal)
+student = distill(cfg, dataset, signal=signal)
 print(f"student: best val NDCG@10 {student.best_metric:.3f} at epoch "
       f"{student.best_epoch} ({student.train_seconds:.1f}s)")
 

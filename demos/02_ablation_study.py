@@ -35,8 +35,7 @@ cfg = TrainConfig(epochs=3, batch_size=128, n=6, d=32, heads=2, layers=2,
                   gnn_layers=2, fanouts=(8, 8), seed=0, lr=0.01, dropout=0.1,
                   alpha=0.2, temperature=3.0, patience=2)
 
-reports = ablate(cfg, dataset, stkg, vocab.n_users, vocab.n_takeaways,
-                 vocab.n_regions, variants=ABLATION_VARIANTS)
+reports = ablate(cfg, dataset, stkg, variants=ABLATION_VARIANTS)
 
 print(f"\n{'variant':<10} {'HR@10':>7} {'NDCG@10':>9} {'train s':>9}")
 for variant in ABLATION_VARIANTS:

@@ -28,8 +28,7 @@ cfg = TrainConfig(epochs=2, batch_size=128, n=8, d=32, heads=2, layers=1,
                   gnn_layers=2, fanouts=(6, 6), seed=0, lr=0.01, alpha=0.2,
                   temperature=3.0, patience=2)
 
-reports = ablate_fusion(cfg, dataset, stkg, vocab.n_users, vocab.n_takeaways,
-                        vocab.n_regions)
+reports = ablate_fusion(cfg, dataset, stkg)
 
 print(f"{'strategy':<9} {'HR@10':>7} {'NDCG@10':>9} {'teacher fwd':>12} "
       f"{'nbr samples':>12} {'predict ms':>11}")

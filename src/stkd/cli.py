@@ -157,8 +157,7 @@ def cmd_pretrain(args) -> int:
     stkg = Stkg.load(_graph_path(cfg), vocab.content_hash())
     counters = Counter()
     provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed, counters)
-    result = pretrain_teacher(cfg, dataset, stkg, vocab.n_users,
-                              vocab.n_takeaways, counters, provider)
+    result = pretrain_teacher(cfg, dataset, stkg, counters, provider)
     save_checkpoint(out / "teacher.npz", result.params,
                     result.params.build_config(), vocab.content_hash())
     rows, probs = compute_soft_labels(result.params, provider, dataset,
@@ -186,8 +185,7 @@ def cmd_distill(args) -> int:
         rows, probs, _ = load_soft_labels(out / "soft_labels.npz",
                                           vocab.content_hash())
         signal = TeacherSignal(rows, probs)
-    result = distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
-                     signal=signal, variant=variant)
+    result = distill(cfg, dataset, signal=signal, variant=variant)
     save_checkpoint(out / "student.npz", result.params,
                     result.params.build_config(), vocab.content_hash())
     report = {"best_ndcg10": result.best_metric, "best_epoch": result.best_epoch,
@@ -237,8 +235,7 @@ def _run_study(args, prefix: str, study, summarize, **options) -> int:
     out = _out_dir(cfg)
     dataset, vocab = _load_prepared(cfg)
     stkg = Stkg.load(_graph_path(cfg), vocab.content_hash())
-    reports = study(cfg, dataset, stkg, vocab.n_users, vocab.n_takeaways,
-                    vocab.n_regions, split=args.split, **options)
+    reports = study(cfg, dataset, stkg, split=args.split, **options)
     summary = {}
     for label, report in reports.items():
         safe = label.replace("=", "_").replace(" ", "").replace(",", "-") \

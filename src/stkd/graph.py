@@ -7,7 +7,8 @@ time buckets (weekday x hour, 168), distance buckets (16), and one relation
 per attribute field. Triples are stored undirected (both directions carry the
 relation id) in CSR form.
 
-User-takeaway triples come only from purchases visible to training: for users
+User-takeaway triples come only from purchases visible to training, by the
+leave-one-out rule of :func:`stkd.sequences.training_purchases`: for users
 with at least three purchases the last two (the validation and test targets)
 are excluded. Attribute triples come from every cleaned event.
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +32,8 @@ from .artifacts import read_npz, write_npz
 from .config import STREAM_SUBGRAPH, rng_for
 from .errors import ConsistencyError
 from .events import PurchaseEvent, Vocab
-from .geo import (N_DISTANCE_BUCKETS, bucketize_distance, geohash6_centroid,
-                  spherical_distance)
+from .geo import bucketize_distance, geohash6_centroid, spherical_distance
+from .sequences import training_purchases
 
 GRAPH_FORMAT_VERSION = 3
 
@@ -107,11 +109,6 @@ class Stkg:
         return cls(**meta, **arrays)
 
 
-def training_purchase_counts(events_per_user: dict[int, int]) -> dict[int, int]:
-    """How many leading purchases of each user are visible to training."""
-    return {u: (p - 2 if p >= 3 else p) for u, p in events_per_user.items()}
-
-
 def build_stkg(events: list[PurchaseEvent], vocab: Vocab) -> Stkg:
     """Assemble the four triple families and index them as an undirected CSR.
 
@@ -139,12 +136,8 @@ def build_stkg(events: list[PurchaseEvent], vocab: Vocab) -> Stkg:
             raise ConsistencyError(f"{kind} {key!r} not registered in vocab")
         return table[key]
 
-    per_user_seen: dict[int, int] = {}
-    counts: dict[int, int] = {}
-    for ev in events:
-        uid = check(ev.user_id, vocab.users, "user")
-        counts[uid] = counts.get(uid, 0) + 1
-    visible = training_purchase_counts(counts)
+    counts = Counter(check(ev.user_id, vocab.users, "user") for ev in events)
+    seen = Counter()
 
     triples: set[tuple[int, int, int]] = set()
     family = {"time": 0, "dist": 0, "attr": 0}
@@ -155,9 +148,8 @@ def build_stkg(events: list[PurchaseEvent], vocab: Vocab) -> Stkg:
         u_ent = uid - 1
         v_ent = n_users + iid - 1
 
-        rank = per_user_seen.get(uid, 0)
-        per_user_seen[uid] = rank + 1
-        if rank < visible[uid]:
+        seen[uid] += 1
+        if seen[uid] <= training_purchases(counts[uid]):
             t = (u_ent, rel_id(f"time:{time_bucket(ev.timestamp)}"), v_ent)
             if t not in triples:
                 triples.add(t)

@@ -23,7 +23,13 @@ their arms, each a ``(TrainConfig, variant, fusion)`` triple, and run them
 through the one study loop ``_study``.  It alone decides when a teacher
 exists (one per ``fanouts`` setting, pre-trained only if an arm reads it
 through KD or a fusion readout, with soft labels only if an arm distills)
-and charges its training time to exactly the arms that read it."""
+and charges its training time to exactly the arms that read it.
+
+No stage takes a vocabulary size from its caller: the teacher is sized by
+the graph (``Stkg.n_users``, ``Stkg.n_takeaways``) and the student by the
+dataset (``SequenceDataset.n_takeaways``, ``n_regions``).  Where a dataset
+meets a graph (``SubgraphProvider``, the studies) or a student
+(``evaluate``), sizes that disagree raise ``ConsistencyError``."""
 
 from __future__ import annotations
 
@@ -159,12 +165,25 @@ def _batches(order: np.ndarray, batch_size: int):
         yield order[start:start + batch_size]
 
 
+def _check_graph(dataset: SequenceDataset, stkg: Stkg) -> None:
+    """Refuse a graph built over other users or takeaways than ``dataset``
+    (its purchase CSR has one slot per user id, plus two)."""
+    users = dataset.purchased_indptr.size - 2
+    if (users, dataset.n_takeaways) != (stkg.n_users, stkg.n_takeaways):
+        raise ConsistencyError(
+            f"dataset has {users} users and {dataset.n_takeaways} takeaways, "
+            f"graph has {stkg.n_users} and {stkg.n_takeaways}; build both "
+            "from one vocabulary")
+
+
 class SubgraphProvider:
-    """Samples the deterministic per-sample subgraph once and caches it."""
+    """Samples the deterministic per-sample subgraph once per row and caches
+    it; refuses a dataset and graph whose sizes disagree."""
 
     def __init__(self, dataset: SequenceDataset, stkg: Stkg,
                  fanouts: tuple[int, int], seed: int,
                  counters: Counter | None = None):
+        _check_graph(dataset, stkg)
         self.dataset = dataset
         self.stkg = stkg
         self.fanouts = tuple(fanouts)
@@ -173,15 +192,14 @@ class SubgraphProvider:
         self._cache: dict[int, Subgraph] = {}
 
     def get(self, row: int) -> Subgraph:
-        sid = self.dataset.sid(row)
-        sg = self._cache.get(sid)
+        sg = self._cache.get(row)
         if sg is None:
             sg = sample_subgraph(self.dataset.items[row],
                                  int(self.dataset.user[row]), self.stkg,
-                                 self.fanouts, self.seed, sid)
+                                 self.fanouts, self.seed, row)
             if self.counters is not None:
                 self.counters["subgraph_samples"] += 1
-            self._cache[sid] = sg
+            self._cache[row] = sg
         return sg
 
     def batch(self, rows: np.ndarray) -> list[Subgraph]:
@@ -249,8 +267,8 @@ def _fit(cfg: TrainConfig, params, dataset: SequenceDataset, step,
 # ---------------------------------------------------------------------------
 
 def _draw_negatives(dataset: SequenceDataset, rows: np.ndarray,
-                    n_negatives: int, seed: int,
-                    n_takeaways: int) -> tuple[np.ndarray, np.ndarray]:
+                    n_negatives: int,
+                    seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's ``sample_negatives`` draw, as one ``(rows, n_negatives)``
     table of item ids and a per-row ``truncated`` flag.  A truncated row is
     padded with its own target, which never scores strictly above itself."""
@@ -260,7 +278,7 @@ def _draw_negatives(dataset: SequenceDataset, rows: np.ndarray,
         user = int(dataset.user[row])
         negs, truncated[i] = sample_negatives(
             user, int(dataset.target[row]), dataset.purchased_by(user),
-            n_takeaways, n_negatives, seed)
+            dataset.n_takeaways, n_negatives, seed)
         table[i, :negs.size] = negs
     return table, truncated
 
@@ -314,12 +332,11 @@ def _val_ndcg(score_rows, dataset: SequenceDataset,
 # stage one: teacher pre-training
 # ---------------------------------------------------------------------------
 
-def build_teacher(cfg: TrainConfig, stkg: Stkg, n_users: int,
-                  n_takeaways: int) -> TeacherParams:
+def build_teacher(cfg: TrainConfig, stkg: Stkg) -> TeacherParams:
     return TeacherParams(n_entities=stkg.n_entities,
                          n_relations=stkg.n_relations, n=cfg.n, d=cfg.d,
                          gnn_layers=cfg.gnn_layers, seed=cfg.seed,
-                         n_users=n_users, n_takeaways=n_takeaways)
+                         n_users=stkg.n_users, n_takeaways=stkg.n_takeaways)
 
 
 def _teacher_val_ndcg(params: TeacherParams, provider: SubgraphProvider,
@@ -332,23 +349,22 @@ def _teacher_val_ndcg(params: TeacherParams, provider: SubgraphProvider,
 
 
 def pretrain_teacher(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
-                     n_users: int, n_takeaways: int,
                      counters: Counter | None = None,
                      provider: SubgraphProvider | None = None) -> TrainResult:
     """Train the graph teacher with early stopping on validation NDCG@10
     (the loop is ``_fit``)."""
-    params = build_teacher(cfg, stkg, n_users, n_takeaways)
-    opt = teacher_optimizer(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
     if provider is None:
         provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed,
                                     counters)
+    params = build_teacher(cfg, stkg)
+    opt = teacher_optimizer(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
 
     def step(batch, i):
         return pretrain_step(provider.batch(batch), dataset.target[batch],
                              params, opt, counters)
 
     negatives, _ = _draw_negatives(dataset, dataset.rows("valid"),
-                                   cfg.n_negatives, cfg.seed, n_takeaways)
+                                   cfg.n_negatives, cfg.seed)
     return _fit(cfg, params, dataset, step,
                 lambda: _teacher_val_ndcg(params, provider, dataset,
                                           counters, negatives))
@@ -360,12 +376,10 @@ def pretrain_teacher(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
 
 def compute_soft_labels(params: TeacherParams, provider: SubgraphProvider,
                         dataset: SequenceDataset,
-                        rows: np.ndarray | None = None,
                         counters: Counter | None = None):
-    """Teacher probabilities for every requested row (default: the training
-    rows), ``SCORE_BATCH`` rows per forward; returns (rows, probs)."""
-    if rows is None:
-        rows = dataset.rows("train")
+    """Teacher probabilities for every training row, ``SCORE_BATCH`` rows
+    per forward; returns (rows, probs)."""
+    rows = dataset.rows("train")
     out = np.zeros((rows.size, params.n_takeaways + 1))
     with no_tape():
         for start in range(0, rows.size, SCORE_BATCH):
@@ -415,23 +429,26 @@ class TeacherSignal:
 # stage two: distillation / student training
 # ---------------------------------------------------------------------------
 
-def build_student(cfg: TrainConfig, n_takeaways: int,
-                  n_regions: int) -> StudentParams:
-    return StudentParams(n_takeaways=n_takeaways, n_regions=n_regions,
-                         n=cfg.n, d=cfg.d, heads=cfg.heads, layers=cfg.layers,
+def build_student(cfg: TrainConfig, dataset: SequenceDataset) -> StudentParams:
+    return StudentParams(n_takeaways=dataset.n_takeaways,
+                         n_regions=dataset.n_regions, n=cfg.n, d=cfg.d,
+                         heads=cfg.heads, layers=cfg.layers,
                          dropout=cfg.dropout, seed=cfg.seed)
 
 
-def _apply_variant(params: StudentParams, variant: str) -> dict[str, Tensor]:
+def _apply_variant(params: StudentParams, variant: str,
+                   fusion: str) -> dict[str, Tensor]:
     """Make the parameter groups a variant removes zero constants (no
-    gradient reaches them); returns the parameters left to train."""
+    gradient reaches them); returns the parameters left to train.  Those
+    hold ``W_cat`` only for the "cat" fusion, the one run that reads it."""
     spatial = ("region_emb", "dist_emb", "W_SP")
     groups = {"no_sp": spatial, "no_sp_kd": spatial, "no_c": ("region_emb",),
               "no_f": ("dist_emb",)}.get(variant, ())
     for name in groups:
         getattr(params, name).data[:] = 0.0
         getattr(params, name).requires_grad = False
-    return {n: t for n, t in params.as_dict().items() if n not in groups}
+    untrained = groups if fusion == "cat" else groups + ("W_cat",)
+    return {n: t for n, t in params.as_dict().items() if n not in untrained}
 
 
 def variant_alpha(cfg: TrainConfig, variant: str) -> float:
@@ -460,8 +477,8 @@ def _student_val_ndcg(params: StudentParams, dataset: SequenceDataset,
                      dataset, negatives)
 
 
-def distill(cfg: TrainConfig, dataset: SequenceDataset, n_takeaways: int,
-            n_regions: int, signal: TeacherSignal | None = None,
+def distill(cfg: TrainConfig, dataset: SequenceDataset,
+            signal: TeacherSignal | None = None,
             variant: str = "full", fusion: str = "stkd",
             fusion_readout=None) -> TrainResult:
     """Train the student on the joint objective with early stopping (the
@@ -481,9 +498,10 @@ def distill(cfg: TrainConfig, dataset: SequenceDataset, n_takeaways: int,
         raise InvalidArgumentError(
             "alpha > 0 requires teacher soft labels; pass a TeacherSignal")
 
-    params = build_student(cfg, n_takeaways, n_regions)
-    opt = Adam(_apply_variant(params, variant), lr=cfg.lr, beta1=cfg.beta1,
-               beta2=cfg.beta2, freeze_rows=params.pad_frozen_rows())
+    params = build_student(cfg, dataset)
+    opt = Adam(_apply_variant(params, variant, fusion), lr=cfg.lr,
+               beta1=cfg.beta1, beta2=cfg.beta2,
+               freeze_rows=params.pad_frozen_rows())
 
     def step(batch, i):
         fused = None
@@ -508,7 +526,7 @@ def distill(cfg: TrainConfig, dataset: SequenceDataset, n_takeaways: int,
         return float(loss.data)
 
     negatives, _ = _draw_negatives(dataset, dataset.rows("valid"),
-                                   cfg.n_negatives, cfg.seed, n_takeaways)
+                                   cfg.n_negatives, cfg.seed)
     return _fit(cfg, params, dataset, step,
                 lambda: _student_val_ndcg(params, dataset, negatives, fusion,
                                           fusion_readout))
@@ -527,11 +545,18 @@ def evaluate(params: StudentParams, dataset: SequenceDataset,
 
     ``predict_seconds`` accumulates only model forward time (including any
     teacher fusion work); sampling negatives and bookkeeping are excluded.
+    A student whose item or region table was sized for another vocabulary
+    than ``dataset`` raises ``ConsistencyError``.
     """
     _check_fusion(fusion, fusion_readout)
+    sizes = (params.n_takeaways, params.n_regions)
+    if sizes != (dataset.n_takeaways, dataset.n_regions):
+        raise ConsistencyError(
+            f"student has {sizes[0]} takeaways and {sizes[1]} regions, "
+            f"dataset has {dataset.n_takeaways} and {dataset.n_regions}")
     rows = dataset.rows(split)
     negatives, truncated = _draw_negatives(dataset, rows, cfg.n_negatives,
-                                           cfg.seed, params.n_takeaways)
+                                           cfg.seed)
     ranks, predict_seconds = _target_ranks(
         _student_scores(params, dataset, fusion, fusion_readout), dataset,
         rows, negatives)
@@ -551,21 +576,18 @@ def evaluate(params: StudentParams, dataset: SequenceDataset,
 # ---------------------------------------------------------------------------
 
 def _teacher_and_signal(cfg: TrainConfig, dataset: SequenceDataset,
-                        stkg: Stkg, n_users: int, n_takeaways: int,
-                        with_signal: bool):
+                        stkg: Stkg, with_signal: bool):
     """A pre-trained teacher, and its soft-label signal if ``with_signal``
     (else None)."""
     provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed)
-    result = pretrain_teacher(cfg, dataset, stkg, n_users, n_takeaways,
-                              provider=provider)
+    result = pretrain_teacher(cfg, dataset, stkg, provider=provider)
     if not with_signal:
         return result, None
     rows, probs = compute_soft_labels(result.params, provider, dataset)
     return result, TeacherSignal(rows, probs)
 
 
-def _study(dataset: SequenceDataset, stkg: Stkg, n_users: int,
-           n_takeaways: int, n_regions: int, arms: dict, split: str):
+def _study(dataset: SequenceDataset, stkg: Stkg, arms: dict, split: str):
     """One report per arm; ``arms`` maps a label to ``(cfg, variant, fusion)``.
 
     A teacher is pre-trained once per ``fanouts`` setting, and only if an
@@ -574,7 +596,11 @@ def _study(dataset: SequenceDataset, stkg: Stkg, n_users: int,
     Its training time is charged to exactly the arms that read it.  Every
     arm evaluates with its own counters, and a fusion arm samples through
     its own provider, so ``counts`` shows what that arm asked of the teacher.
+    A graph whose sizes disagree with ``dataset`` is refused before any arm
+    trains.
     """
+    _check_graph(dataset, stkg)
+
     def distills(cfg, variant, fusion):
         return fusion == "stkd" and variant_alpha(cfg, variant) > 0.0
 
@@ -587,8 +613,7 @@ def _study(dataset: SequenceDataset, stkg: Stkg, n_users: int,
         if fusion != "stkd" or distills(cfg, variant, fusion):
             if cfg.fanouts not in teachers:
                 teachers[cfg.fanouts] = _teacher_and_signal(
-                    cfg, dataset, stkg, n_users, n_takeaways,
-                    cfg.fanouts in kd_fanouts)
+                    cfg, dataset, stkg, cfg.fanouts in kd_fanouts)
             teacher, signal = teachers[cfg.fanouts]
         if fusion != "stkd":
             provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed,
@@ -598,9 +623,8 @@ def _study(dataset: SequenceDataset, stkg: Stkg, n_users: int,
                 return teacher_readout(provider.batch(rows), teacher.params,
                                        counters)
 
-        result = distill(cfg, dataset, n_takeaways, n_regions, signal=signal,
-                         variant=variant, fusion=fusion,
-                         fusion_readout=readout)
+        result = distill(cfg, dataset, signal=signal, variant=variant,
+                         fusion=fusion, fusion_readout=readout)
         seconds = result.train_seconds
         if teacher is not None:
             seconds += teacher.train_seconds
@@ -611,16 +635,14 @@ def _study(dataset: SequenceDataset, stkg: Stkg, n_users: int,
 
 
 def ablate(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
-           n_users: int, n_takeaways: int, n_regions: int,
            variants=ABLATION_VARIANTS, split: str = "test"):
     """One report per ablation variant, sharing seed, data, and teacher."""
     _check_names("variant", variants, ABLATION_VARIANTS)
     arms = {v: (cfg, v, "stkd") for v in variants}
-    return _study(dataset, stkg, n_users, n_takeaways, n_regions, arms, split)
+    return _study(dataset, stkg, arms, split)
 
 
 def ablate_fusion(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
-                  n_users: int, n_takeaways: int, n_regions: int,
                   strategies=FUSION_STRATEGIES, split: str = "test"):
     """Compare distillation against feature-fusion alternatives with timing.
 
@@ -630,7 +652,7 @@ def ablate_fusion(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
     """
     _check_names("fusion strategy", strategies, FUSION_STRATEGIES)
     arms = {s: (cfg, "full", s) for s in strategies}
-    return _study(dataset, stkg, n_users, n_takeaways, n_regions, arms, split)
+    return _study(dataset, stkg, arms, split)
 
 
 TEMPERATURE_GRID = (1.0, 3.0, 5.0, 7.0, 9.0)
@@ -638,7 +660,6 @@ FANOUT_GRID = ((5, 5), (10, 10), (15, 15), (20, 20))
 
 
 def sweep(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
-          n_users: int, n_takeaways: int, n_regions: int,
           parameter: str = "temperature", split: str = "test"):
     """Grid sweep over the distillation temperature or the sampling fanouts.
 
@@ -654,4 +675,4 @@ def sweep(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
             (TrainConfig.from_dict({**cfg.to_dict(), parameter: value}),
              "full", "stkd")
             for value in grids[parameter]}
-    return _study(dataset, stkg, n_users, n_takeaways, n_regions, arms, split)
+    return _study(dataset, stkg, arms, split)

@@ -5,6 +5,11 @@ validation target, and every earlier purchase yields one training pair
 (prefix -> next item). Prefixes are truncated to the most recent `n` items and
 left-padded with 0, so the most recent purchase is always the rightmost
 non-pad position. Region and distance-bucket features ride along item-aligned.
+
+``training_purchases`` is the one statement of how many leading purchases
+of a user training sees; the graph builder hides the rest by the same rule.
+A dataset carries the takeaway and region vocabulary sizes it was built
+against (format 3), so the student is sized from the dataset alone.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .errors import ConsistencyError
 from .events import PurchaseEvent, Vocab
 from .geo import bucketize_distance, geohash6_centroid, spherical_distance
 
-DATASET_FORMAT_VERSION = 2
+DATASET_FORMAT_VERSION = 3
 
 SPLIT_TRAIN, SPLIT_VALID, SPLIT_TEST = 0, 1, 2
 SPLIT_NAMES = {"train": SPLIT_TRAIN, "valid": SPLIT_VALID, "test": SPLIT_TEST}
@@ -36,6 +41,8 @@ class SequenceDataset:
     """Columnar sample store: row i is one (prefix -> target) example."""
 
     n: int
+    n_takeaways: int      # takeaway vocabulary size (ids 1..n_takeaways)
+    n_regions: int        # shop-region vocabulary size (ids 1..n_regions)
     user: np.ndarray      # (N,) int64 dense user ids
     items: np.ndarray     # (N, n) int64 takeaway ids, 0 = pad
     regions: np.ndarray   # (N, n) int64 shop-region ids, 0 = pad
@@ -58,14 +65,12 @@ class SequenceDataset:
         lo, hi = self.purchased_indptr[user_id], self.purchased_indptr[user_id + 1]
         return self.purchased_items[lo:hi]
 
-    def sid(self, row: int) -> int:
-        """Stable per-sample identity used to key cached computations."""
-        return int(row)
-
     def save(self, path) -> None:
         write_npz(path, "dataset", DATASET_FORMAT_VERSION,
                   {name: getattr(self, name) for name in _ARRAYS},
-                  {"n": self.n, "n_skipped_users": self.n_skipped_users,
+                  {"n": self.n, "n_takeaways": self.n_takeaways,
+                   "n_regions": self.n_regions,
+                   "n_skipped_users": self.n_skipped_users,
                    "vocab_hash": self.vocab_hash})
 
     @classmethod
@@ -88,6 +93,13 @@ def event_features(ev: PurchaseEvent, vocab: Vocab) -> tuple[int, int, int]:
 def _pad_left(seq: list[int], n: int) -> list[int]:
     take = seq[-n:] if len(seq) > n else seq
     return [0] * (n - len(take)) + take
+
+
+def training_purchases(p: int) -> int:
+    """How many leading purchases of a user with ``p`` purchases training
+    sees: all but the validation and test targets, which exist only for
+    ``p >= 3``."""
+    return p - 2 if p >= 3 else p
 
 
 def build_sequences(events: list[PurchaseEvent], vocab: Vocab, n: int,
@@ -127,16 +139,15 @@ def build_sequences(events: list[PurchaseEvent], vocab: Vocab, n: int,
         if p < 2:
             n_skipped += 1
             continue
-        if p == 2:
-            emit(uid, hist, 1, SPLIT_TRAIN)
-            continue
-        train_targets = list(range(1, p - 2))
+        seen = training_purchases(p)
+        train_targets = list(range(1, seen))
         if max_train_per_user > 0:
             train_targets = train_targets[-max_train_per_user:]
         for j in train_targets:
             emit(uid, hist, j, SPLIT_TRAIN)
-        emit(uid, hist, p - 2, SPLIT_VALID)
-        emit(uid, hist, p - 1, SPLIT_TEST)
+        if seen < p:
+            emit(uid, hist, p - 2, SPLIT_VALID)
+            emit(uid, hist, p - 1, SPLIT_TEST)
 
     n_users = vocab.n_users
     indptr = np.zeros(n_users + 2, dtype=np.int64)
@@ -148,7 +159,7 @@ def build_sequences(events: list[PurchaseEvent], vocab: Vocab, n: int,
 
     N = len(rows_user)
     ds = SequenceDataset(
-        n=n,
+        n=n, n_takeaways=vocab.n_takeaways, n_regions=vocab.n_regions,
         user=np.asarray(rows_user, dtype=np.int64).reshape(N),
         items=np.asarray(rows_items, dtype=np.int64).reshape(N, n),
         regions=np.asarray(rows_regions, dtype=np.int64).reshape(N, n),

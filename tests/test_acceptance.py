@@ -225,10 +225,8 @@ def test_criterion_3_loss_endpoints(capsys):
                            layers=1, seed=0, lr=0.01, alpha=0.0)
     cfg_kd = TrainConfig(epochs=1, batch_size=64, n=8, d=16, heads=2,
                          layers=1, seed=0, lr=0.01, alpha=0.2)
-    run_zero = distill(cfg_zero, dataset, vocab.n_takeaways, vocab.n_regions,
-                       variant="full")
-    run_nokd = distill(cfg_kd, dataset, vocab.n_takeaways, vocab.n_regions,
-                       variant="no_kd")
+    run_zero = distill(cfg_zero, dataset, variant="full")
+    run_nokd = distill(cfg_kd, dataset, variant="no_kd")
     trace_gap = max(abs(a - b) for a, b in
                     zip(run_zero.loss_trace, run_nokd.loss_trace))
 
@@ -348,8 +346,7 @@ def test_criterion_5_planted_pattern_study(capsys):
                           layers=2, gnn_layers=2, fanouts=(8, 8), seed=seed,
                           lr=0.01, dropout=0.1, alpha=0.2, temperature=3.0,
                           patience=2)
-        reports = ablate(cfg, dataset, stkg, vocab.n_users, vocab.n_takeaways,
-                         vocab.n_regions, variants=variants)
+        reports = ablate(cfg, dataset, stkg, variants=variants)
         for v in variants:
             hr10[v].append(reports[v].hr[10])
 
@@ -399,7 +396,7 @@ def test_criterion_6_memorization(capsys):
     dataset, stkg, vocab = _world(n_users=20, n_takeaways=50, n_regions=5,
                                   events_per_user=12, seed=6, n=6)
     cfg = TrainConfig(n=6, d=16, gnn_layers=2, fanouts=(4, 4), seed=0)
-    tparams = build_teacher(cfg, stkg, vocab.n_users, vocab.n_takeaways)
+    tparams = build_teacher(cfg, stkg)
     topt = teacher_optimizer(tparams, lr=0.05)
     provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed)
     rows = dataset.rows("train")[:16]
@@ -428,8 +425,7 @@ def test_criterion_7_fusion_inference_cost(capsys):
                                   events_per_user=20, seed=4, n=8)
     cfg = TrainConfig(epochs=1, batch_size=128, n=8, d=16, heads=2, layers=1,
                       gnn_layers=2, fanouts=(4, 4), seed=0, lr=0.01, alpha=0.2)
-    reports = ablate_fusion(cfg, dataset, stkg, vocab.n_users,
-                            vocab.n_takeaways, vocab.n_regions)
+    reports = ablate_fusion(cfg, dataset, stkg)
     stkd_rep = reports["stkd"]
     teacher_touches = (stkd_rep.counts.get("teacher_forwards", 0)
                        + stkd_rep.counts.get("subgraph_samples", 0))
@@ -458,14 +454,12 @@ def test_criterion_8_determinism(capsys):
     cfg = TrainConfig(epochs=2, batch_size=64, n=8, d=16, heads=2, layers=1,
                       gnn_layers=2, fanouts=(4, 4), seed=0, lr=0.01, alpha=0.2)
     provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed)
-    teacher = pretrain_teacher(cfg, dataset, stkg, vocab.n_users,
-                               vocab.n_takeaways, provider=provider)
+    teacher = pretrain_teacher(cfg, dataset, stkg, provider=provider)
     rows, probs = compute_soft_labels(teacher.params, provider, dataset)
 
     def one_run():
         signal = TeacherSignal(rows, probs)
-        result = distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
-                         signal=signal, variant="full")
+        result = distill(cfg, dataset, signal=signal, variant="full")
         report = evaluate(result.params, dataset, cfg, split="test",
                           train_seconds=result.train_seconds)
         return result, report

@@ -30,7 +30,7 @@ def write_artifact(kind: str, path: Path) -> None:
     """A small real artifact of ``kind``, written by its public writer."""
     if kind == "dataset":
         SequenceDataset(
-            n=3, user=np.array([1, 1]),
+            n=3, n_takeaways=3, n_regions=1, user=np.array([1, 1]),
             items=np.array([[0, 0, 1], [0, 1, 2]]),
             regions=np.array([[0, 0, 1], [0, 1, 1]]),
             dists=np.array([[0, 0, 2], [0, 2, 3]]),
@@ -190,6 +190,26 @@ def distilled_workspace(tmp_path, capsys):
         assert main(argv) == 0, capsys.readouterr().err
     capsys.readouterr()
     return out, train
+
+
+def format_2_dataset(payload):
+    """A dataset as format 2 wrote it: no vocabulary sizes in its meta."""
+    meta = json.loads(str(payload["__meta__"]))
+    del meta["n_takeaways"], meta["n_regions"]
+    return {**payload, "__version__": np.int64(2),
+            "__meta__": np.str_(json.dumps(meta, sort_keys=True))}
+
+
+def test_a_format_2_dataset_is_refused(tmp_path, capsys):
+    out, train = distilled_workspace(tmp_path, capsys)
+    rewrite(out / "dataset.npz", format_2_dataset)
+    with pytest.raises(ConsistencyError,
+                       match=r"format version 2 unsupported \(expected 3\)"):
+        SequenceDataset.load(out / "dataset.npz")
+    assert main(["distill", "--config", str(train)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dataset.npz" in err
+    assert "format version 2 unsupported (expected 3)" in err
 
 
 def test_evaluate_refuses_truncated_student(tmp_path, capsys):

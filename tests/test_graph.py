@@ -98,7 +98,7 @@ def test_heldout_purchases_contribute_no_user_item_triples():
 
 @pytest.mark.parametrize("purchases", [2, 3, 18])
 def test_graph_and_sequences_hide_the_same_purchases(purchases):
-    # graph.training_purchase_counts and build_sequences' leave-one-out split
+    # build_stkg and build_sequences (both through training_purchases)
     # must hide the same purchases: a user's time:/dist: edges reach exactly
     # the takeaways its training rows read, as prefix items or targets
     events, vocab, _ = ingest_events(generate_synthetic(SyntheticConfig(
@@ -395,7 +395,7 @@ def test_sampler_is_bitwise_the_per_entity_loop(fanouts):
         seed=11)))
     g = build_stkg(events, vocab)
     ds = build_sequences(events, vocab, n=8)
-    cases = [(ds.items[row], int(ds.user[row]), ds.sid(row))
+    cases = [(ds.items[row], int(ds.user[row]), row)
              for row in range(0, len(ds), 3)]
     cases += [
         (np.array([0, 0, 0, 7, 9, 7]), 2, 1),        # pad first, repeated

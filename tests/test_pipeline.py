@@ -10,7 +10,7 @@ from stkd import optim, pipeline
 from stkd.config import TrainConfig
 from stkd.errors import (ConsistencyError, InvalidArgumentError,
                          VocabMismatchError)
-from stkd.events import ingest_events
+from stkd.events import Vocab, ingest_events
 from stkd.graph import build_stkg
 from stkd.metrics import (hit_rate_at_k, ndcg_at_k, rank_of_target,
                           sample_negatives)
@@ -21,17 +21,19 @@ from stkd.pipeline import (ABLATION_VARIANTS, FUSION_STRATEGIES,
                            pretrain_teacher, save_soft_labels, sweep,
                            variant_alpha)
 from stkd.sequences import build_sequences
-from stkd.student import predict_scores
+from stkd.student import StudentParams, predict_scores
 from stkd.synthetic import SyntheticConfig, generate_synthetic
 from stkd.teacher import teacher_forward, teacher_readout
 from stkd.tensor import no_tape
 
 
+WORLD = SyntheticConfig(n_users=30, n_takeaways=60, n_regions=6,
+                        events_per_user=18, noise=0.2, seed=3)
+
+
 @pytest.fixture(scope="module")
 def world():
-    scfg = SyntheticConfig(n_users=30, n_takeaways=60, n_regions=6,
-                           events_per_user=18, noise=0.2, seed=3)
-    events, vocab, _ = ingest_events(generate_synthetic(scfg))
+    events, vocab, _ = ingest_events(generate_synthetic(WORLD))
     dataset = build_sequences(events, vocab, n=8)
     stkg = build_stkg(events, vocab)
     return dataset, stkg, vocab
@@ -99,17 +101,54 @@ def test_provider_caches_and_counts(world):
 
 
 # ---------------------------------------------------------------------------
+# sizes come from the graph and the dataset
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=["user", "takeaway"])
+def foreign_graph(request):
+    """The world's graph, built over its vocabulary plus one more user or
+    takeaway."""
+    events, vocab, _ = ingest_events(generate_synthetic(WORLD))
+    bigger = Vocab.from_dict(vocab.to_dict())
+    getattr(bigger, f"add_{request.param}")("ghost")
+    return build_stkg(events, bigger)
+
+
+def test_a_graph_of_other_sizes_is_refused_where_it_meets_the_data(
+        world, foreign_graph):
+    dataset = world[0]
+    cfg = tiny_cfg(epochs=1)
+    with pytest.raises(ConsistencyError, match="one vocabulary"):
+        SubgraphProvider(dataset, foreign_graph, cfg.fanouts, cfg.seed)
+    with pytest.raises(ConsistencyError, match="one vocabulary"):
+        pretrain_teacher(cfg, dataset, foreign_graph)
+    # a study refuses it before any arm trains, even an arm that never
+    # reads the graph
+    with pytest.raises(ConsistencyError, match="one vocabulary"):
+        ablate(cfg, dataset, foreign_graph, variants=("no_kd",))
+
+
+def test_stages_are_sized_by_the_graph_and_the_dataset(pretrained, world):
+    dataset, stkg, vocab = world
+    teacher = pretrained[0].params
+    assert (teacher.n_users, teacher.n_takeaways) == (stkg.n_users,
+                                                      stkg.n_takeaways)
+    student = pipeline.build_student(tiny_cfg(), dataset)
+    assert (student.n_takeaways, student.n_regions) == (vocab.n_takeaways,
+                                                        vocab.n_regions)
+
+
+# ---------------------------------------------------------------------------
 # teacher pre-training
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def pretrained(world):
-    dataset, stkg, vocab = world
+    dataset, stkg, _ = world
     cfg = tiny_cfg()
     counters = Counter()
     prov = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed, counters)
-    result = pretrain_teacher(cfg, dataset, stkg, vocab.n_users,
-                              vocab.n_takeaways, counters, prov)
+    result = pretrain_teacher(cfg, dataset, stkg, counters, prov)
     return result, prov, counters
 
 
@@ -125,12 +164,10 @@ def test_pretrain_reduces_loss_and_sets_best(pretrained):
 
 def _train(stage, cfg, world):
     """Run one training stage on ``world`` (the student without KD)."""
-    dataset, stkg, vocab = world
+    dataset, stkg, _ = world
     if stage == "teacher":
-        return pretrain_teacher(cfg, dataset, stkg, vocab.n_users,
-                                vocab.n_takeaways)
-    return distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
-                   variant="no_kd")
+        return pretrain_teacher(cfg, dataset, stkg)
+    return distill(cfg, dataset, variant="no_kd")
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -177,9 +214,9 @@ def test_soft_label_cache_round_trip(pretrained, world, tmp_path):
 def test_soft_labels_match_a_taped_teacher_forward(pretrained, world):
     result, prov, _ = pretrained
     dataset, _, _ = world
-    rows = dataset.rows("train")[:300]    # a full batch and a partial one
+    rows, probs = compute_soft_labels(result.params, prov, dataset)
+    # every training row: a full batch and a partial one
     assert rows.size > pipeline.SCORE_BATCH
-    _, probs = compute_soft_labels(result.params, prov, dataset, rows=rows)
     taped = [teacher_forward(prov.batch(rows[i:i + pipeline.SCORE_BATCH]),
                              result.params)
              for i in range(0, rows.size, pipeline.SCORE_BATCH)]
@@ -191,10 +228,7 @@ def test_soft_labels_match_a_taped_teacher_forward(pretrained, world):
 def test_teacher_signal_missing_row_raises(pretrained, world):
     result, prov, _ = pretrained
     dataset, _, _ = world
-    rows = dataset.rows("train")[:4]
-    cached_rows, probs = compute_soft_labels(result.params, prov, dataset,
-                                             rows=rows)
-    sig = TeacherSignal(cached_rows, probs)
+    sig = TeacherSignal(*compute_soft_labels(result.params, prov, dataset))
     with pytest.raises(ConsistencyError):
         sig.logits(np.array([10 ** 6]))
 
@@ -204,18 +238,15 @@ def test_teacher_signal_missing_row_raises(pretrained, world):
 # ---------------------------------------------------------------------------
 
 def test_distill_without_signal_requires_alpha_zero(world):
-    dataset, _, vocab = world
+    dataset, _, _ = world
     with pytest.raises(InvalidArgumentError):
-        distill(tiny_cfg(alpha=0.2), dataset, vocab.n_takeaways,
-                vocab.n_regions, signal=None, variant="full")
+        distill(tiny_cfg(alpha=0.2), dataset, signal=None, variant="full")
 
 
 def test_alpha_zero_equals_no_kd_variant(world):
-    dataset, _, vocab = world
-    a = distill(tiny_cfg(alpha=0.0, epochs=1), dataset, vocab.n_takeaways,
-                vocab.n_regions, variant="full")
-    b = distill(tiny_cfg(alpha=0.2, epochs=1), dataset, vocab.n_takeaways,
-                vocab.n_regions, variant="no_kd")
+    dataset, _, _ = world
+    a = distill(tiny_cfg(alpha=0.0, epochs=1), dataset, variant="full")
+    b = distill(tiny_cfg(alpha=0.2, epochs=1), dataset, variant="no_kd")
     assert a.loss_trace == b.loss_trace
     for name, t in a.params.as_dict().items():
         np.testing.assert_array_equal(t.data, b.params.as_dict()[name].data)
@@ -223,39 +254,33 @@ def test_alpha_zero_equals_no_kd_variant(world):
 
 def test_distill_with_kd_uses_teacher(pretrained, world):
     result, prov, _ = pretrained
-    dataset, _, vocab = world
+    dataset, _, _ = world
     rows, probs = compute_soft_labels(result.params, prov, dataset)
     sig = TeacherSignal(rows, probs)
     cfg = tiny_cfg(epochs=1)
-    with_kd = distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
-                      signal=sig, variant="full")
-    without = distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
-                      variant="no_kd")
+    with_kd = distill(cfg, dataset, signal=sig, variant="full")
+    without = distill(cfg, dataset, variant="no_kd")
     assert with_kd.loss_trace != without.loss_trace
 
 
 def test_variant_freezing(world):
-    dataset, _, vocab = world
+    dataset, _, _ = world
     cfg = tiny_cfg(alpha=0.0, epochs=1)
-    res = distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
-                  variant="no_sp")
+    res = distill(cfg, dataset, variant="no_sp")
     assert np.all(res.params.region_emb.data == 0.0)
     assert np.all(res.params.dist_emb.data == 0.0)
     assert np.all(res.params.W_SP.data == 0.0)
 
-    res_c = distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
-                    variant="no_c")
+    res_c = distill(cfg, dataset, variant="no_c")
     assert np.all(res_c.params.region_emb.data == 0.0)
     assert np.abs(res_c.params.dist_emb.data).max() > 0.0
     assert np.abs(res_c.params.W_SP.data).max() > 0.0
 
-    res_f = distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
-                    variant="no_f")
+    res_f = distill(cfg, dataset, variant="no_f")
     assert np.all(res_f.params.dist_emb.data == 0.0)
     assert np.abs(res_f.params.region_emb.data).max() > 0.0
 
-    full = distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
-                   variant="full")
+    full = distill(cfg, dataset, variant="full")
     assert np.abs(full.params.region_emb.data).max() > 0.0
 
 
@@ -267,7 +292,7 @@ def test_variant_freezing(world):
 def test_removed_groups_are_constants(world, variant, removed, monkeypatch):
     # a removed group stays +0.0, no gradient reaches it, and the optimizer
     # never holds it
-    dataset, _, vocab = world
+    dataset, _, _ = world
     made = []
 
     class Recorded(optim.Adam):
@@ -276,11 +301,10 @@ def test_removed_groups_are_constants(world, variant, removed, monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(pipeline, "Adam", Recorded)
-    res = distill(tiny_cfg(alpha=0.0, epochs=1), dataset, vocab.n_takeaways,
-                  vocab.n_regions, variant=variant)
+    res = distill(tiny_cfg(alpha=0.0, epochs=1), dataset, variant=variant)
     (opt,) = made
     assert opt.t > 0
-    assert set(opt.params) == set(res.params.as_dict()) - removed
+    assert set(opt.params) == set(res.params.as_dict()) - removed - {"W_cat"}
     assert set(opt.m) == set(opt.v) == set(opt.params)
     for name in removed:
         group = getattr(res.params, name)
@@ -288,28 +312,52 @@ def test_removed_groups_are_constants(world, variant, removed, monkeypatch):
         assert group.data.tobytes() == np.zeros_like(group.data).tobytes()
 
 
+def test_only_the_cat_fusion_hands_w_cat_to_adam(pretrained, world,
+                                                monkeypatch):
+    # only the "cat" fusion reads W_cat; every other run leaves it at its
+    # initial value, which the checkpoint still holds
+    result, prov, _ = pretrained
+    dataset = world[0]
+    handed = []
+
+    class Recorded(optim.Adam):
+        def __init__(self, params, **kw):
+            handed.append(list(params))
+            super().__init__(params, **kw)
+
+    def readout(rows):
+        return teacher_readout(prov.batch(rows), result.params)
+
+    monkeypatch.setattr(pipeline, "Adam", Recorded)
+    cfg = tiny_cfg(alpha=0.0, epochs=1)
+    plain = distill(cfg, dataset)
+    cat = distill(cfg, dataset, fusion="cat", fusion_readout=readout)
+    names = list(plain.params.as_dict())
+    assert "W_cat" in names
+    assert handed == [[n for n in names if n != "W_cat"], names]
+    init = pipeline.build_student(cfg, dataset).W_cat.data
+    assert plain.params.W_cat.data.tobytes() == init.tobytes()
+    assert cat.params.W_cat.data.tobytes() != init.tobytes()
+
+
 def test_unknown_variant_and_fusion_rejected(world):
-    dataset, _, vocab = world
+    dataset, _, _ = world
     with pytest.raises(InvalidArgumentError):
-        distill(tiny_cfg(alpha=0.0), dataset, vocab.n_takeaways,
-                vocab.n_regions, variant="bogus")
+        distill(tiny_cfg(alpha=0.0), dataset, variant="bogus")
     with pytest.raises(InvalidArgumentError):
-        distill(tiny_cfg(alpha=0.0), dataset, vocab.n_takeaways,
-                vocab.n_regions, fusion="bogus")
+        distill(tiny_cfg(alpha=0.0), dataset, fusion="bogus")
     with pytest.raises(InvalidArgumentError):
-        distill(tiny_cfg(alpha=0.0), dataset, vocab.n_takeaways,
-                vocab.n_regions, fusion="add")  # no readout supplied
+        # no readout supplied
+        distill(tiny_cfg(alpha=0.0), dataset, fusion="add")
     with pytest.raises(InvalidArgumentError):
         variant_alpha(tiny_cfg(), "bogus")
 
 
 def test_distill_determinism(world):
-    dataset, _, vocab = world
+    dataset, _, _ = world
     cfg = tiny_cfg(alpha=0.0, epochs=1)
-    a = distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
-                variant="full")
-    b = distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
-                variant="full")
+    a = distill(cfg, dataset, variant="full")
+    b = distill(cfg, dataset, variant="full")
     assert a.loss_trace == b.loss_trace
     for name, t in a.params.as_dict().items():
         np.testing.assert_array_equal(t.data, b.params.as_dict()[name].data)
@@ -355,7 +403,7 @@ def test_steps_after_validation_still_record_the_tape(pretrained, world,
     # off; the steps of the second epoch come right after the first
     # epoch's validation
     teacher, prov, _ = pretrained
-    dataset, stkg, vocab = world
+    dataset, stkg, _ = world
     cfg = tiny_cfg(epochs=2, patience=2)
     per_epoch = -(-dataset.rows("train").size // cfg.batch_size)
     for t in teacher.params.as_dict().values():
@@ -364,16 +412,14 @@ def test_steps_after_validation_still_record_the_tape(pretrained, world,
     def readout(rows):
         return teacher_readout(prov.batch(rows), teacher.params)
 
-    res = distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
-                  fusion="cat", fusion_readout=readout)
+    res = distill(cfg, dataset, fusion="cat", fusion_readout=readout)
     assert res.epochs_run == 2
     assert len(missing_grads) == 2 * per_epoch
     assert all(m == set() for m in missing_grads)
     assert all(t.grad is None for t in teacher.params.as_dict().values())
 
     missing_grads.clear()
-    res = pretrain_teacher(cfg, dataset, stkg, vocab.n_users,
-                           vocab.n_takeaways)
+    res = pretrain_teacher(cfg, dataset, stkg)
     assert res.epochs_run == 2
     assert len(missing_grads) == 2 * per_epoch
     assert all(m == set() for m in missing_grads)
@@ -385,10 +431,9 @@ def test_steps_after_validation_still_record_the_tape(pretrained, world,
 
 @pytest.fixture(scope="module")
 def student(world):
-    dataset, _, vocab = world
+    dataset, _, _ = world
     cfg = tiny_cfg(alpha=0.0, epochs=2)
-    return distill(cfg, dataset, vocab.n_takeaways, vocab.n_regions,
-                   variant="full"), cfg
+    return distill(cfg, dataset, variant="full"), cfg
 
 
 def test_evaluate_report_shape_and_determinism(student, world):
@@ -481,15 +526,30 @@ def test_evaluate_fusion_requires_readout(student, world):
         evaluate(result.params, dataset, cfg, fusion="add")
 
 
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("table", ["n_takeaways", "n_regions"])
+def test_evaluate_refuses_a_student_of_other_sizes(world, table, delta):
+    # one id too many would rank an item nobody sells as a negative; one
+    # too few would index past the item or region table
+    dataset = world[0]
+    cfg = tiny_cfg()
+    sizes = {"n_takeaways": dataset.n_takeaways,
+             "n_regions": dataset.n_regions}
+    sizes[table] += delta
+    params = StudentParams(**sizes, n=cfg.n, d=cfg.d, heads=cfg.heads,
+                           layers=cfg.layers)
+    with pytest.raises(ConsistencyError, match="student has"):
+        evaluate(params, dataset, cfg)
+
+
 # ---------------------------------------------------------------------------
 # studies
 # ---------------------------------------------------------------------------
 
 def test_ablate_runs_and_orders_reports(world):
-    dataset, stkg, vocab = world
+    dataset, stkg, _ = world
     cfg = tiny_cfg(epochs=1)
-    reports = ablate(cfg, dataset, stkg, vocab.n_users, vocab.n_takeaways,
-                     vocab.n_regions, variants=("full", "no_kd"))
+    reports = ablate(cfg, dataset, stkg, variants=("full", "no_kd"))
     assert set(reports) == {"full", "no_kd"}
     for rep in reports.values():
         assert 0.0 <= rep.hr[10] <= 1.0
@@ -497,16 +557,13 @@ def test_ablate_runs_and_orders_reports(world):
     # the KD run charges teacher pre-training time to the full variant
     assert reports["full"].train_seconds > reports["no_kd"].train_seconds
     with pytest.raises(InvalidArgumentError):
-        ablate(cfg, dataset, stkg, vocab.n_users, vocab.n_takeaways,
-               vocab.n_regions, variants=("nope",))
+        ablate(cfg, dataset, stkg, variants=("nope",))
 
 
 def test_ablate_fusion_counters_and_timing(world):
-    dataset, stkg, vocab = world
+    dataset, stkg, _ = world
     cfg = tiny_cfg(epochs=1)
-    reports = ablate_fusion(cfg, dataset, stkg, vocab.n_users,
-                            vocab.n_takeaways, vocab.n_regions,
-                            strategies=("stkd", "add"))
+    reports = ablate_fusion(cfg, dataset, stkg, strategies=("stkd", "add"))
     stkd_rep, add_rep = reports["stkd"], reports["add"]
     assert stkd_rep.counts.get("teacher_forwards", 0) == 0
     assert stkd_rep.counts.get("subgraph_samples", 0) == 0
@@ -515,8 +572,7 @@ def test_ablate_fusion_counters_and_timing(world):
     assert stkd_rep.predict_seconds > 0.0
     assert add_rep.predict_seconds > 0.0
     with pytest.raises(InvalidArgumentError):
-        ablate_fusion(cfg, dataset, stkg, vocab.n_users, vocab.n_takeaways,
-                      vocab.n_regions, strategies=("nope",))
+        ablate_fusion(cfg, dataset, stkg, strategies=("nope",))
 
 
 def test_fusion_readout_shape(pretrained, world):
@@ -529,17 +585,15 @@ def test_fusion_readout_shape(pretrained, world):
 
 
 def test_sweep_parameter_validation(world):
-    dataset, stkg, vocab = world
+    dataset, stkg, _ = world
     with pytest.raises(InvalidArgumentError):
-        sweep(tiny_cfg(), dataset, stkg, vocab.n_users, vocab.n_takeaways,
-              vocab.n_regions, parameter="bogus")
+        sweep(tiny_cfg(), dataset, stkg, parameter="bogus")
 
 
 def test_sweep_temperature_labels(world):
-    dataset, stkg, vocab = world
+    dataset, stkg, _ = world
     cfg = tiny_cfg(epochs=1)
-    reports = sweep(cfg, dataset, stkg, vocab.n_users, vocab.n_takeaways,
-                    vocab.n_regions, parameter="temperature")
+    reports = sweep(cfg, dataset, stkg, parameter="temperature")
     assert set(reports) == {f"temperature={t}" for t in (1.0, 3.0, 5.0, 7.0, 9.0)}
     for label, rep in reports.items():
         assert rep.config["temperature"] == float(label.split("=")[1])
@@ -563,9 +617,8 @@ def teacher_calls(monkeypatch):
 
 
 def test_sweep_fanouts_labels(world, teacher_calls):
-    dataset, stkg, vocab = world
-    reports = sweep(tiny_cfg(epochs=1), dataset, stkg, vocab.n_users,
-                    vocab.n_takeaways, vocab.n_regions, parameter="fanouts")
+    dataset, stkg, _ = world
+    reports = sweep(tiny_cfg(epochs=1), dataset, stkg, parameter="fanouts")
     grid = ((5, 5), (10, 10), (15, 15), (20, 20))
     assert list(reports) == [f"fanouts={f}" for f in grid]
     for label, rep in reports.items():
@@ -577,8 +630,8 @@ def test_sweep_fanouts_labels(world, teacher_calls):
 
 def test_study_teacher_is_trained_for_and_charged_to_its_readers(
         world, teacher_calls):
-    dataset, stkg, vocab = world
-    args = (dataset, stkg, vocab.n_users, vocab.n_takeaways, vocab.n_regions)
+    dataset, stkg, _ = world
+    args = (dataset, stkg)
     reports = ablate(tiny_cfg(epochs=1), *args,
                      variants=("full", "no_kd", "no_sp", "no_sp_kd"))
     assert teacher_calls == [(4, 4)]
@@ -600,8 +653,8 @@ def test_study_teacher_is_trained_for_and_charged_to_its_readers(
 
 
 def test_fusion_study_without_kd_computes_no_soft_labels(world, monkeypatch):
-    dataset, stkg, vocab = world
-    args = (dataset, stkg, vocab.n_users, vocab.n_takeaways, vocab.n_regions)
+    dataset, stkg, _ = world
+    args = (dataset, stkg)
     cfg = tiny_cfg(epochs=1, alpha=0.0)
     calls = []
     real_labels = pipeline.compute_soft_labels

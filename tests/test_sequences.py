@@ -140,6 +140,8 @@ def test_dataset_cache_round_trip(tmp_path):
     ds.save(path)
     back = SequenceDataset.load(path)
     assert back.n == ds.n and back.vocab_hash == ds.vocab_hash
+    assert (back.n_takeaways, back.n_regions) == (6, 2) == (vocab.n_takeaways,
+                                                            vocab.n_regions)
     for f in ("user", "items", "regions", "dists", "target", "split",
               "purchased_indptr", "purchased_items"):
         np.testing.assert_array_equal(getattr(back, f), getattr(ds, f))

@@ -334,10 +334,10 @@ def test_pruned_layers_match_unpruned_on_first_training_batch(
         criterion8_world, layers, fanouts, monkeypatch):
     # the acceptance gate's determinism world and its first training batch;
     # (2, (4, 4)) is the gate's own teacher
-    dataset, stkg, vocab = criterion8_world
+    dataset, stkg, _ = criterion8_world
     cfg = TrainConfig(epochs=2, batch_size=64, n=8, d=16, heads=2, layers=1,
                       gnn_layers=layers, fanouts=fanouts, seed=0, lr=0.01)
-    p = build_teacher(cfg, stkg, vocab.n_users, vocab.n_takeaways)
+    p = build_teacher(cfg, stkg)
     _spread(p, seed=7)
     order = rng_for(cfg.seed, STREAM_SHUFFLE, 0).permutation(
         dataset.rows("train"))

@@ -157,11 +157,10 @@ def cmd_pretrain(args) -> int:
     stkg = Stkg.load(_graph_path(cfg), vocab.content_hash())
     counters = Counter()
     provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed, counters)
-    result = pretrain_teacher(cfg, dataset, stkg, counters, provider)
+    result = pretrain_teacher(cfg, dataset, stkg, provider=provider)
     save_checkpoint(out / "teacher.npz", result.params,
                     result.params.build_config(), vocab.content_hash())
-    rows, probs = compute_soft_labels(result.params, provider, dataset,
-                                      counters=counters)
+    rows, probs = compute_soft_labels(result.params, provider, dataset)
     save_soft_labels(out / "soft_labels.npz", rows, probs,
                      vocab.content_hash())
     report = {"best_ndcg10": result.best_metric, "best_epoch": result.best_epoch,

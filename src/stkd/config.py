@@ -69,8 +69,6 @@ class TrainConfig:
     seed: int = 0
     patience: int = 5                 # early stopping on validation NDCG@10
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.98
     dropout: float = 0.1
     max_train_per_user: int = 0       # 0 = unlimited prefix pairs
     events_path: str = ""
@@ -117,21 +115,18 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def int_tuple(name: str, values, length: int | None = None) -> tuple[int, ...]:
+def int_tuple(name: str, values) -> tuple[int, ...]:
     """``values`` as a tuple of ints; raises ConfigError unless it is a list
-    or tuple (of ``length`` entries, if given) of integers."""
+    or tuple of integers."""
     if (not isinstance(values, (list, tuple))
-            or (length is not None and len(values) != length)
             or not all(is_int(v) for v in values)):
-        size = f"{length} " if length is not None else ""
-        raise ConfigError(f"{name} takes a list of {size}integers, "
-                          f"got {values!r}")
+        raise ConfigError(f"{name} takes a list of integers, got {values!r}")
     return tuple(int(v) for v in values)
 
 
 # The value types a config field accepts, keyed by the type of its default.
 _ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float),
-                   str: (str,), tuple: (list, tuple), list: (list, tuple)}
+                   str: (str,), tuple: (list, tuple)}
 
 
 def config_from_dict(cls, data: dict):

@@ -340,34 +340,34 @@ def build_teacher(cfg: TrainConfig, stkg: Stkg) -> TeacherParams:
 
 
 def _teacher_val_ndcg(params: TeacherParams, provider: SubgraphProvider,
-                      dataset: SequenceDataset, counters: Counter | None,
+                      dataset: SequenceDataset,
                       negatives: np.ndarray) -> float:
     def score_rows(batch):
-        return teacher_forward(provider.batch(batch), params, counters).data
+        return teacher_forward(provider.batch(batch), params,
+                               provider.counters).data
 
     return _val_ndcg(score_rows, dataset, negatives)
 
 
 def pretrain_teacher(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
-                     counters: Counter | None = None,
                      provider: SubgraphProvider | None = None) -> TrainResult:
     """Train the graph teacher with early stopping on validation NDCG@10
-    (the loop is ``_fit``)."""
+    (the loop is ``_fit``).  Teacher forwards are counted in
+    ``provider.counters``, beside the subgraphs it samples."""
     if provider is None:
-        provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed,
-                                    counters)
+        provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed)
     params = build_teacher(cfg, stkg)
-    opt = teacher_optimizer(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
+    opt = teacher_optimizer(params, lr=cfg.lr)
 
     def step(batch, i):
         return pretrain_step(provider.batch(batch), dataset.target[batch],
-                             params, opt, counters)
+                             params, opt, provider.counters)
 
     negatives, _ = _draw_negatives(dataset, dataset.rows("valid"),
                                    cfg.n_negatives, cfg.seed)
     return _fit(cfg, params, dataset, step,
                 lambda: _teacher_val_ndcg(params, provider, dataset,
-                                          counters, negatives))
+                                          negatives))
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +375,16 @@ def pretrain_teacher(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
 # ---------------------------------------------------------------------------
 
 def compute_soft_labels(params: TeacherParams, provider: SubgraphProvider,
-                        dataset: SequenceDataset,
-                        counters: Counter | None = None):
+                        dataset: SequenceDataset):
     """Teacher probabilities for every training row, ``SCORE_BATCH`` rows
-    per forward; returns (rows, probs)."""
+    per forward, counted in ``provider.counters``; returns (rows, probs)."""
     rows = dataset.rows("train")
     out = np.zeros((rows.size, params.n_takeaways + 1))
     with no_tape():
         for start in range(0, rows.size, SCORE_BATCH):
             batch = rows[start:start + SCORE_BATCH]
-            probs = teacher_forward(provider.batch(batch), params, counters)
+            probs = teacher_forward(provider.batch(batch), params,
+                                    provider.counters)
             out[start:start + batch.size] = probs.data
     return rows.astype(np.int64), out
 
@@ -500,7 +500,6 @@ def distill(cfg: TrainConfig, dataset: SequenceDataset,
 
     params = build_student(cfg, dataset)
     opt = Adam(_apply_variant(params, variant, fusion), lr=cfg.lr,
-               beta1=cfg.beta1, beta2=cfg.beta2,
                freeze_rows=params.pad_frozen_rows())
 
     def step(batch, i):

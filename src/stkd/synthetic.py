@@ -5,9 +5,9 @@ work, everything else at home. Purchases arrive in same-day sessions within
 one region and time slot. Inside a session the user mostly buys from a small
 set of personal favorites local to the current region; with probability
 `noise` a purchase is replaced by a uniformly random takeaway from anywhere.
-Designated co-purchase pairs (A, B) plant a sequential dependency: right after
-buying A, the user buys B in the same region and slot with probability
-`follow_prob` (scaled down by noise).
+`n_copurchase_pairs` seeded co-purchase pairs (A, B), each within one region,
+plant a sequential dependency: right after buying A, the user buys B in the
+same region and slot with probability `follow_prob` (scaled down by noise).
 
 Identical config + seed always produces byte-identical JSONL output.
 """
@@ -15,13 +15,12 @@ Identical config + seed always produces byte-identical JSONL output.
 from __future__ import annotations
 
 import json
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .artifacts import write_lines
-from .config import STREAM_SYNTH, int_tuple, is_int, rng_for
+from .config import STREAM_SYNTH, rng_for
 from .errors import ConfigError
 from .geo import encode_geohash
 
@@ -29,6 +28,9 @@ from .geo import encode_geohash
 BASE_TIMESTAMP = 1672617600
 SLOT_HOURS = {"morning": 9, "noon": 12, "evening": 19}
 SLOT_NAMES = ("morning", "noon", "evening")
+N_CATEGORIES = 6            # an item's category is its id modulo this
+N_BRANDS = 12               # an item's brand is its id modulo this
+SESSION_LEN = (2, 3)        # purchases per active day, inclusive
 
 
 @dataclass
@@ -38,24 +40,20 @@ class SyntheticConfig:
     n_users: int = 100
     n_takeaways: int = 300
     n_regions: int = 8
-    n_categories: int = 6
-    n_brands: int = 12
     events_per_user: int = 40
-    session_len: tuple[int, int] = (2, 3)   # purchases per active day, inclusive
     favorites_per_region: int = 3           # per (user, region) favorite pool
     noise: float = 0.1                      # chance a purchase is uniform random
     n_copurchase_pairs: int = 20
     follow_prob: float = 0.8                # P(B right after A) before noise scaling
     head_rate: float = 0.25                 # chance a signal purchase picks a pair head
     seed: int = 0
-    copurchase_pairs: list = field(default_factory=list)  # optional explicit (A, B, p)
 
     def __post_init__(self):
         self.validate()
 
     def validate(self) -> None:
-        for name in ("n_users", "n_takeaways", "n_regions", "n_categories",
-                     "n_brands", "events_per_user", "favorites_per_region"):
+        for name in ("n_users", "n_takeaways", "n_regions", "events_per_user",
+                     "favorites_per_region"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.n_takeaways < self.n_regions * self.favorites_per_region:
@@ -67,26 +65,6 @@ class SyntheticConfig:
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
         if self.noise + (1.0 - self.noise) * self.head_rate > 1.0 + 1e-9:
             raise ConfigError("noise and head_rate combine above probability 1")
-        low, high = int_tuple("session_len", self.session_len, 2)
-        if not 1 <= low <= high:
-            raise ConfigError(f"bad session_len range {self.session_len}")
-        by_head: dict[int, float] = {}
-        for pair in self.copurchase_pairs:
-            if (not isinstance(pair, (list, tuple)) or len(pair) != 3
-                    or not (is_int(pair[0]) and is_int(pair[1]))
-                    or not isinstance(pair[2], numbers.Real)
-                    or isinstance(pair[2], bool)):
-                raise ConfigError(f"copurchase_pairs entries are [A, B, p] "
-                                  f"with integer ids, got {pair!r}")
-            a, _, p = pair
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"follow probability {p} outside [0, 1]")
-            by_head[a] = by_head.get(a, 0.0) + p
-        for a, total in by_head.items():
-            if total > 1.0 + 1e-9:
-                raise ConfigError(
-                    f"co-purchase probabilities for head item {a} sum to "
-                    f"{total:.3f} > 1; rule set is infeasible")
 
 
 def region_geohashes(n_regions: int) -> list[str]:
@@ -135,8 +113,8 @@ def _event_line(cfg: SyntheticConfig, regions: list[str], user: int,
         "timestamp": ts,
         "user_geohash6": regions[user_region],
         "shop_geohash6": regions[item_region(item, cfg.n_regions)],
-        "category": f"c{item % cfg.n_categories}",
-        "brand": f"b{item % cfg.n_brands}",
+        "category": f"c{item % N_CATEGORIES}",
+        "brand": f"b{item % N_BRANDS}",
         "aoi": regions[item_region(item, cfg.n_regions)],
         "user_region": regions[user_region],
     }
@@ -148,8 +126,8 @@ def generate_synthetic(cfg: SyntheticConfig):
     cfg.validate()
     rng = rng_for(cfg.seed, STREAM_SYNTH)
     regions = region_geohashes(cfg.n_regions)
-    pairs = list(cfg.copurchase_pairs) or _default_pairs(cfg, rng)
-    follow_of: dict[int, tuple[int, float]] = {a: (b, p) for a, b, p in pairs}
+    follow_of: dict[int, tuple[int, float]] = {
+        a: (b, p) for a, b, p in _default_pairs(cfg, rng)}
 
     # per-region item pools and per-(user, region) favorites
     region_pool = [[t for t in range(cfg.n_takeaways)
@@ -179,7 +157,7 @@ def generate_synthetic(cfg: SyntheticConfig):
             weekday = day % 7
             region = work if (slot == "noon" and weekday < 5) else home
             minute = int(rng.integers(0, 30))
-            session = int(rng.integers(cfg.session_len[0], cfg.session_len[1] + 1))
+            session = int(rng.integers(SESSION_LEN[0], SESSION_LEN[1] + 1))
             for s in range(session):
                 if emitted >= cfg.events_per_user:
                     break

@@ -34,12 +34,17 @@ class TeacherParams:
     """All trainable teacher arrays, keyed for the optimizer."""
 
     def __init__(self, n_entities: int, n_relations: int, n: int, d: int,
-                 gnn_layers: int = 2, seed: int = 0,
-                 n_users: int = 0, n_takeaways: int = 0, *,
-                 _draw: bool = True):
+                 gnn_layers: int = 2, seed: int = 0, *, n_users: int,
+                 n_takeaways: int, _draw: bool = True):
         if d < 1 or n < 1 or gnn_layers < 1:
             raise ConfigError(f"bad teacher dimensions d={d} n={n} "
                               f"layers={gnn_layers}")
+        if not (0 <= n_users and 1 <= n_takeaways
+                and n_users + n_takeaways <= n_entities):
+            raise ConfigError(
+                f"the entity table holds the users, then the takeaways: got "
+                f"n_users={n_users}, n_takeaways={n_takeaways} for "
+                f"n_entities={n_entities}")
         rng = rng_for(seed, STREAM_INIT_TEACHER) if _draw else None
 
         def init(*shape):
@@ -223,17 +228,11 @@ def _vocab_logits(r: Tensor, params: TeacherParams):
     return full, np.arange(params.n_takeaways + 1) > 0
 
 
-def soft_labels(H_gated: Tensor, params: TeacherParams,
-                pad_mask: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Attention-pool positions and score the takeaway vocabulary.
-
-    Returns (probs (b, |V|+1) with column 0 exactly 0, attention (b, n)).
-    Raises InvalidSampleError if any sample has no real position.
-    """
-    r, att = attention_readout(H_gated, params, pad_mask)
+def soft_labels(r: Tensor, params: TeacherParams) -> Tensor:
+    """Score the takeaway vocabulary for the readout ``r`` (b, d): returns
+    probs (b, |V|+1) with column 0 exactly 0."""
     logits, valid = _vocab_logits(r, params)
-    probs = T.masked_softmax(logits, valid)
-    return probs, att
+    return T.masked_softmax(logits, valid)
 
 
 def teacher_readout(subgraphs: list[Subgraph], params: TeacherParams,
@@ -247,12 +246,9 @@ def teacher_readout(subgraphs: list[Subgraph], params: TeacherParams,
 
 
 def teacher_forward(subgraphs: list[Subgraph], params: TeacherParams,
-                    counters: Counter | None = None):
+                    counters: Counter | None = None) -> Tensor:
     """Full pipeline; returns the soft-label probabilities (b, |V|+1)."""
-    H_x, H_u, real = gnn_forward(subgraphs, params, counters)
-    H_gated = user_gate(H_x, H_u, params)
-    probs, _ = soft_labels(H_gated, params, real)
-    return probs
+    return soft_labels(teacher_readout(subgraphs, params, counters), params)
 
 
 def pretrain_loss(subgraphs: list[Subgraph], targets: np.ndarray,
@@ -279,6 +275,5 @@ def pretrain_step(subgraphs: list[Subgraph], targets: np.ndarray,
     return float(loss.data)
 
 
-def teacher_optimizer(params: TeacherParams, lr: float = 0.001,
-                      beta1: float = 0.9, beta2: float = 0.98) -> Adam:
-    return Adam(params.as_dict(), lr=lr, beta1=beta1, beta2=beta2)
+def teacher_optimizer(params: TeacherParams, lr: float = 0.001) -> Adam:
+    return Adam(params.as_dict(), lr=lr)

@@ -264,11 +264,12 @@ def test_distill_with_kd_needs_soft_labels(workspace, capsys, tmp_path):
     ("prepare", {"fanouts": [2.5, 4]}),
     ("prepare", {"fanouts": [True, 4]}),
     ("prepare", {"k_list": [5, "10"]}),
-    ("gen-synth", {"session_len": ["2", 3]}),
-    ("gen-synth", {"session_len": [2]}),
-    ("gen-synth", {"copurchase_pairs": [[1, 2.0, 0.5]]}),
-    ("gen-synth", {"copurchase_pairs": [[1, 2, "0.5"]]}),
-    ("gen-synth", {"copurchase_pairs": [[1, 2]]}),
+    # keys the generator no longer has, each with a value it once accepted
+    ("gen-synth", {"session_len": [2, 3]}),
+    ("gen-synth", {"n_brands": 12}),
+    ("gen-synth", {"n_categories": 6}),
+    ("gen-synth", {"copurchase_pairs": [[1, 2, 0.5]]}),
+    ("gen-synth", {"copurchase_pairs": []}),
     ("prepare", {"heads": 0}),
     ("prepare", {"batch_size": 0}),
     ("prepare", {"n": 0}),
@@ -279,7 +280,8 @@ def test_distill_with_kd_needs_soft_labels(workspace, capsys, tmp_path):
     ("prepare", {"epochs": -1})])
 def test_bad_config_entry_reports_error(tmp_path, capsys, command, values):
     """A wrongly typed value (or list entry), a size below 1, or an unknown
-    key in a config file exits 2 and names the key."""
+    key (also one that a config once had) in a config file exits 2 and names
+    the key."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(values), encoding="utf-8")
     code = main([command, "--config", str(cfg),

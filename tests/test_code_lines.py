@@ -58,3 +58,66 @@ def test_the_package_has_code_lines(capsys):
     assert per_file["total"] == sum(n for name, n in per_file.items()
                                     if name != "total")
     assert per_file["optim.py"] > 0 and "instrument.py" not in per_file
+
+
+SETTINGS_SNIPPET = '''\
+from dataclasses import dataclass, field
+
+
+@dataclass
+class RunConfig:
+    name: str
+    epochs: int = 3
+    tags: list = field(default_factory=list)
+    LIMIT = 5                     # no annotation, so no field
+
+
+@dataclass(frozen=True)
+class Report:                     # a dataclass not named *Config
+    score: float = 0.0
+
+
+class PlainConfig:                # named *Config, but no dataclass
+    size: int = 2
+
+
+def run(a, b=1, *args, c=2, d, **kw):
+    def step(x, y=0):
+        return x + y
+    return step(a)
+
+
+def _helper(a=1):
+    return a
+
+
+class Model:
+    def __init__(self, d=8, _draw=True):
+        self.d = d
+
+    def _reset(self, seed=0):
+        pass
+
+    def fit(self, lr=0.1, /, epochs=3):
+        pass
+'''
+# config fields: RunConfig's name, epochs and tags; defaulted parameters:
+# run's b and c, the nested step's y, __init__'s d (not _draw), fit's lr
+# and epochs (not _helper's or _reset's)
+SETTINGS = (3, 6)
+
+
+def test_settings_count_config_fields_and_public_defaults():
+    assert _load_tool().settings(SETTINGS_SNIPPET) == SETTINGS
+    assert _load_tool().settings("def f(a, *, b):\n    pass\n") == (0, 0)
+
+
+def test_the_package_settings_add_up(capsys):
+    assert _load_tool().main(["--settings"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    rows = {line.split()[-1]: [int(n) for n in line.split()[:-1]]
+            for line in out}
+    assert all(total == fields + params
+               for total, fields, params in rows.values())
+    assert rows.pop("total") == [sum(col) for col in zip(*rows.values())]
+    assert rows["config.py"][1] > 0 and rows["synthetic.py"][1] > 0

@@ -17,30 +17,24 @@ def test_config_values_must_have_the_field_type():
                                  "fanouts": [3, 3], "k_list": (5, 10),
                                  "out_dir": "x"})
     assert cfg.lr == 1 and cfg.fanouts == (3, 3) and cfg.k_list == (5, 10)
-    assert config_from_dict(SyntheticConfig, {
-        "copurchase_pairs": [(1, 2, 0.5)]}).copurchase_pairs == [(1, 2, 0.5)]
+    assert config_from_dict(SyntheticConfig, {"noise": 0}).noise == 0
     for bad in ({"epochs": "2"}, {"epochs": 2.0}, {"epochs": True},
                 {"lr": "0.1"}, {"lr": False}, {"out_dir": 3},
                 {"fanouts": "4,4"}, {"k_list": 10}):
         with pytest.raises(ConfigError):
             TrainConfig.from_dict(bad)
-    with pytest.raises(ConfigError):
-        config_from_dict(SyntheticConfig, {"copurchase_pairs": {}})
+    for bad in ({"n_users": 5.0}, {"noise": "0.1"}, {"seed": None}):
+        with pytest.raises(ConfigError):
+            config_from_dict(SyntheticConfig, bad)
 
 
 def test_list_entries_must_be_integers():
     # int() used to turn 2.5 into 2 and True into 1 without a word
     assert TrainConfig(fanouts=(np.int64(3), 2)).fanouts == (3, 2)
-    assert SyntheticConfig(session_len=[1, 4]).session_len == [1, 4]
     for bad in ({"fanouts": (2.5, 4)}, {"fanouts": (True, 4)},
                 {"fanouts": ("4", 4)}, {"k_list": (10, None)}):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             TrainConfig(**bad)
-    for bad in ({"session_len": (2.0, 3)}, {"session_len": (2, 3, 4)},
-                {"copurchase_pairs": [(1, False, 0.5)]},
-                {"copurchase_pairs": [(1, 2, None)]}):
-        with pytest.raises(ConfigError, match=next(iter(bad))):
-            SyntheticConfig(**bad)
 
 
 def test_k_list_needs_cutoffs_of_at_least_one():

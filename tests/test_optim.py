@@ -97,14 +97,13 @@ def test_adam_rejects_bad_hyperparameters():
     a = Tensor(np.array([1.0]), requires_grad=True)
     with pytest.raises(ConfigError):
         Adam({"a": a}, lr=-0.1)
-    with pytest.raises(ConfigError):
-        Adam({"a": a}, beta1=1.0)
-    with pytest.raises(ConfigError):
-        Adam({"a": a}, beta2=-0.2)
+    # the betas are constants, not options
+    with pytest.raises(TypeError):
+        Adam({"a": a}, beta1=0.9)
 
 
 def test_adam_default_hyperparameters():
     a = Tensor(np.array([1.0]), requires_grad=True)
     opt = Adam({"a": a})
-    assert opt.lr == 0.001 and opt.beta1 == 0.9 and opt.beta2 == 0.98
+    assert opt.lr == 0.001 and optim.BETA1 == 0.9 and optim.BETA2 == 0.98
     assert optim.EPS == 1e-8

@@ -135,10 +135,6 @@ def test_infeasible_configs_raise():
     with pytest.raises(ConfigError):
         SyntheticConfig(n_takeaways=5, n_regions=4,
                         favorites_per_region=3).validate()
-    with pytest.raises(ConfigError, match="sum"):
-        SyntheticConfig(copurchase_pairs=[(1, 2, 0.7), (1, 3, 0.6)]).validate()
-    with pytest.raises(ConfigError):
-        SyntheticConfig(copurchase_pairs=[(1, 2, 1.3)]).validate()
 
 
 def test_write_synthetic_round_trips(tmp_path):

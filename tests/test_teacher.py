@@ -14,9 +14,9 @@ from stkd.graph import Subgraph, build_stkg
 from stkd.pipeline import SubgraphProvider, build_teacher
 from stkd.sequences import build_sequences
 from stkd.synthetic import SyntheticConfig, generate_synthetic
-from stkd.teacher import (TeacherParams, gnn_forward, pretrain_loss,
-                          pretrain_step, soft_labels, teacher_forward,
-                          teacher_optimizer, user_gate)
+from stkd.teacher import (TeacherParams, attention_readout, gnn_forward,
+                          pretrain_loss, pretrain_step, soft_labels,
+                          teacher_forward, teacher_optimizer, user_gate)
 from stkd.tensor import Tensor
 
 from gradcheck import finite_diff_check
@@ -40,7 +40,8 @@ def micro_params(n_entities=5, n_relations=3, n=3, d=2, layers=1, seed=0,
 def test_hand_computed_single_neighbor_aggregation():
     # center embedding [0,0], neighbor [1,0], relation [0,1]; combine weight
     # stacks two identity blocks so combine(m, h) = relu(m + h).
-    p = micro_params(n_entities=2, n_relations=1, n=1, d=2, layers=1)
+    p = micro_params(n_entities=2, n_relations=1, n=1, d=2, layers=1,
+                     n_users=1, n_takeaways=1)
     p.entity_emb.data[:] = [[0.0, 0.0], [1.0, 0.0]]
     p.relation_emb.data[:] = [[0.0, 1.0]]
     p.combine_W[0].data[:] = np.vstack([np.eye(2), np.eye(2)])
@@ -132,11 +133,12 @@ def test_gate_rejects_wrong_length():
 def test_soft_labels_singleton_and_uniform_attention():
     p = micro_params(n=3, d=2, n_users=1, n_takeaways=3, n_entities=7)
     H = Tensor(np.random.default_rng(2).standard_normal((1, 3, 2)))
-    probs, att = soft_labels(H, p, np.array([[False, True, False]]))
+    r, att = attention_readout(H, p, np.array([[False, True, False]]))
     np.testing.assert_allclose(att.data[0], [0.0, 1.0, 0.0], atol=1e-15)
     same = Tensor(np.tile(np.array([[0.3, -0.7]]), (1, 3, 1)))
-    _, att2 = soft_labels(same, p, np.ones((1, 3), dtype=bool))
+    _, att2 = attention_readout(same, p, np.ones((1, 3), dtype=bool))
     np.testing.assert_allclose(att2.data[0], [1 / 3] * 3, atol=1e-12)
+    probs = soft_labels(r, p)
     assert abs(probs.data[0].sum() - 1.0) < 1e-12
     assert probs.data[0, 0] == 0.0
     assert np.all(probs.data >= 0)
@@ -144,9 +146,12 @@ def test_soft_labels_singleton_and_uniform_attention():
 
 def test_soft_labels_rejects_all_pad():
     p = micro_params(n=2, d=2)
-    H = Tensor(np.zeros((1, 2, 2)))
+    sg = subgraph(nodes=[0, 4], centers=[-1, -1], user_index=1, edges=[])
     with pytest.raises(InvalidSampleError):
-        soft_labels(H, p, np.zeros((1, 2), dtype=bool))
+        teacher_forward([sg], p)
+    with pytest.raises(InvalidSampleError):
+        attention_readout(Tensor(np.zeros((1, 2, 2))), p,
+                          np.zeros((1, 2), dtype=bool))
 
 
 def test_engineered_one_hot_labels_give_tiny_loss():
@@ -156,7 +161,8 @@ def test_engineered_one_hot_labels_give_tiny_loss():
     p.entity_emb.data[2] = [-40.0, 0.0]
     p.entity_emb.data[3] = [-40.0, 0.0]
     H = Tensor(np.array([[[1.0, 0.0], [0.0, 0.0]]]))
-    probs, _ = soft_labels(H, p, np.array([[True, False]]))
+    r, _ = attention_readout(H, p, np.array([[True, False]]))
+    probs = soft_labels(r, p)
     assert -np.log(probs.data[0, 1]) <= 1e-9
 
 
@@ -190,6 +196,32 @@ def test_pretrain_steps_reduce_loss_on_memorization_fixture():
         last = pretrain_step(subs, np.array(targets), p, opt)
     assert last < first, (first, last)
     assert last < 0.5 * first
+
+
+def test_teacher_params_require_sizes_that_fit_the_entity_table():
+    # with defaulted sizes of 0 the teacher scored an empty vocabulary and
+    # returned a column of zeros as its "probabilities"
+    with pytest.raises(TypeError):
+        TeacherParams(n_entities=5, n_relations=3, n=3, d=2)
+    with pytest.raises(TypeError):
+        TeacherParams(5, 3, 3, 2, 1, 0, 1, 3)
+    for n_users, n_takeaways in ((2, 4), (0, 6), (1, 0), (-1, 3)):
+        with pytest.raises(ConfigError, match="entity table"):
+            micro_params(n_entities=5, n_users=n_users,
+                         n_takeaways=n_takeaways)
+    p = micro_params(n_entities=5, n_users=2, n_takeaways=3)
+    assert p.item_rows().data.shape == (3, 2)
+
+
+def test_teacher_forward_is_soft_labels_of_the_readout():
+    p = micro_params(n_entities=8, n_users=2, n_takeaways=3, n=2, d=3,
+                     layers=2, seed=4)
+    sg = subgraph(nodes=[2, 3, 0], centers=[0, 1], user_index=2,
+                  edges=[[0, 0, 2], [1, 1, 2]])
+    probs = teacher_forward([sg, sg], p)
+    want = soft_labels(teacher.teacher_readout([sg, sg], p), p)
+    assert probs.data.shape == (2, 4)
+    assert probs.data.tobytes() == want.data.tobytes()
 
 
 def test_counters_track_teacher_invocations():

@@ -1,4 +1,5 @@
-"""Count the code lines of the stkd package, file by file.
+"""Count the code lines, or the settable values, of the stkd package, file
+by file.
 
 A code line is a physical line that holds a token other than a comment or a
 docstring.  A docstring is a string literal that makes up a whole statement
@@ -6,12 +7,20 @@ docstring.  A docstring is a string literal that makes up a whole statement
 lines do not count; every line of a multi-line statement does, and so does
 every line a multi-line string literal spans.
 
-    python3 tools/code_lines.py            # src/stkd
-    python3 tools/code_lines.py DIR        # the *.py files directly in DIR
+A settable value is a field of a dataclass whose name ends in ``Config``, or
+a defaulted parameter (positional or keyword-only) of a function or method
+whose name does not start with ``_`` (``__init__`` counts), leaving out
+parameters whose own name starts with ``_``.  ``--settings`` prints, per
+file, the sum and then the two parts: config fields, defaulted parameters.
+
+    python3 tools/code_lines.py                   # src/stkd
+    python3 tools/code_lines.py DIR               # the *.py files directly in DIR
+    python3 tools/code_lines.py --settings [DIR]  # settable values instead
 """
 
 from __future__ import annotations
 
+import ast
 import io
 import sys
 import tokenize
@@ -39,16 +48,49 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def _decorator_names(node: ast.ClassDef):
+    for dec in node.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        yield dec.attr if isinstance(dec, ast.Attribute) else getattr(
+            dec, "id", "")
+
+
+def settings(source: str) -> tuple[int, int]:
+    """(config fields, defaulted parameters) in ``source``."""
+    fields = params = 0
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+                and "dataclass" in _decorator_names(node)):
+            fields += sum(isinstance(s, ast.AnnAssign) for s in node.body)
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and (node.name == "__init__" or not node.name.startswith("_"))):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaulted = positional[len(positional) - len(a.defaults):]
+            defaulted += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            params += sum(not arg.arg.startswith("_") for arg in defaulted)
+    return fields, params
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    argv = list(sys.argv[1:] if argv is None else argv)
+    count_settings = "--settings" in argv
+    if count_settings:
+        argv.remove("--settings")
     root = (Path(argv[0]) if argv
             else Path(__file__).resolve().parents[1] / "src" / "stkd")
-    total = 0
+    totals = [0, 0, 0] if count_settings else [0]
     for path in sorted(root.glob("*.py")):
-        n = code_lines(path.read_text())
-        total += n
-        print(f"{n:6d}  {path.name}")
-    print(f"{total:6d}  total")
+        source = path.read_text()
+        if count_settings:
+            fields, params = settings(source)
+            row = [fields + params, fields, params]
+        else:
+            row = [code_lines(source)]
+        totals = [t + n for t, n in zip(totals, row)]
+        print("".join(f"{n:6d}  " for n in row) + path.name)
+    print("".join(f"{n:6d}  " for n in totals) + "total")
     return 0
 
 

@@ -12,6 +12,8 @@ record no autodiff tape.
 
 from __future__ import annotations
 
+import inspect
+
 from .artifacts import read_npz, write_npz
 from .errors import ConsistencyError
 from .student import StudentParams
@@ -68,19 +70,28 @@ def _restore(params, arrays, path) -> None:
         tensor.requires_grad = False
 
 
-def load_teacher(path, expected_vocab_hash: str | None = None):
-    """Rebuild a :class:`TeacherParams` from a checkpoint."""
+def _load(cls, path, expected_vocab_hash):
+    """Rebuild a ``cls`` parameter object from a checkpoint of its kind.  A
+    config whose keys are not the constructor's raises ConsistencyError
+    naming the missing and the unknown ones."""
     arrays, config, vocab_hash = load_arrays(path, expected_vocab_hash,
-                                             ("teacher",))
-    params = TeacherParams(**config, _draw=False)
+                                             (_KINDS[cls],))
+    want = set(inspect.signature(cls).parameters) - {"_draw"}
+    missing, extra = sorted(want - set(config)), sorted(set(config) - want)
+    if missing or extra:
+        raise ConsistencyError(
+            f"{path}: model config mismatch (missing={missing}, "
+            f"unknown={extra})")
+    params = cls(**config, _draw=False)
     _restore(params, arrays, path)
     return params, config, vocab_hash
+
+
+def load_teacher(path, expected_vocab_hash: str | None = None):
+    """Rebuild a :class:`TeacherParams` from a checkpoint."""
+    return _load(TeacherParams, path, expected_vocab_hash)
 
 
 def load_student(path, expected_vocab_hash: str | None = None):
     """Rebuild a :class:`StudentParams` from a checkpoint."""
-    arrays, config, vocab_hash = load_arrays(path, expected_vocab_hash,
-                                             ("student",))
-    params = StudentParams(**config, _draw=False)
-    _restore(params, arrays, path)
-    return params, config, vocab_hash
+    return _load(StudentParams, path, expected_vocab_hash)

@@ -49,7 +49,7 @@ from .pipeline import (ABLATION_VARIANTS, FUSION_STRATEGIES, SubgraphProvider,
                        variant_alpha)
 from .sequences import (SequenceDataset, build_sequences, load_vocab,
                         save_vocab)
-from .synthetic import SyntheticConfig, write_synthetic
+from .synthetic import SyntheticConfig, copurchase_pairs, write_synthetic
 
 __all__ = ["main"]
 
@@ -112,7 +112,9 @@ def cmd_gen_synth(args) -> int:
     scfg = config_from_dict(SyntheticConfig, overrides)
     path = Path(args.out_dir or "out") / "events.jsonl"
     n = write_synthetic(scfg, path)
-    print(json.dumps({"events": n, "path": str(path), "seed": scfg.seed}))
+    print(json.dumps({"events": n,
+                      "copurchase_pairs": len(copurchase_pairs(scfg)),
+                      "path": str(path), "seed": scfg.seed}))
     return 0
 
 

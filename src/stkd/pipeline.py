@@ -12,9 +12,10 @@ where the teacher enters only through that soft-label cache
 loop ``_fit`` (seeded shuffle, divergence abort, early stopping on
 validation NDCG@10, best-snapshot restore) and differ only in the step and
 validation closures they hand it.  Evaluation draws each row's sampled
-negatives into one table (a fit draws its validation table once), ranks
-the held-out targets against it one batch at a time, and reports HR@k /
-NDCG@k with wall-clock timing split into training and prediction phases.
+negatives into one table (a fit draws its validation table once, and a
+study each split's once for all its arms), ranks the held-out targets
+against it one batch at a time, and reports HR@k / NDCG@k with wall-clock
+timing split into training and prediction phases.
 Every pass that nothing backpropagates through (validation, evaluation,
 soft labels, the fusion readout in a training step) runs with the tape off.
 
@@ -266,19 +267,23 @@ def _fit(cfg: TrainConfig, params, dataset: SequenceDataset, step,
 # ranking shared by teacher validation and student evaluation
 # ---------------------------------------------------------------------------
 
-def _draw_negatives(dataset: SequenceDataset, rows: np.ndarray,
-                    n_negatives: int,
-                    seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's ``sample_negatives`` draw, as one ``(rows, n_negatives)``
-    table of item ids and a per-row ``truncated`` flag.  A truncated row is
-    padded with its own target, which never scores strictly above itself."""
-    table = np.repeat(dataset.target[rows, None], n_negatives, axis=1)
+def _draw_negatives(dataset: SequenceDataset, split: str, cfg: TrainConfig,
+                    drawn=None) -> tuple[np.ndarray, np.ndarray]:
+    """Each ``split`` row's ``sample_negatives`` draw, as one
+    ``(rows, n_negatives)`` table of item ids and a per-row ``truncated``
+    flag; or ``drawn``, the pair a study drew once for every arm, if given.
+    A truncated row is padded with its own target, which never scores
+    strictly above itself."""
+    if drawn is not None:
+        return drawn
+    rows = dataset.rows(split)
+    table = np.repeat(dataset.target[rows, None], cfg.n_negatives, axis=1)
     truncated = np.zeros(rows.size, dtype=bool)
     for i, row in enumerate(rows):
         user = int(dataset.user[row])
         negs, truncated[i] = sample_negatives(
             user, int(dataset.target[row]), dataset.purchased_by(user),
-            dataset.n_takeaways, n_negatives, seed)
+            dataset.n_takeaways, cfg.n_negatives, cfg.seed)
         table[i, :negs.size] = negs
     return table, truncated
 
@@ -350,7 +355,8 @@ def _teacher_val_ndcg(params: TeacherParams, provider: SubgraphProvider,
 
 
 def pretrain_teacher(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
-                     provider: SubgraphProvider | None = None) -> TrainResult:
+                     provider: SubgraphProvider | None = None, *,
+                     _negatives=None) -> TrainResult:
     """Train the graph teacher with early stopping on validation NDCG@10
     (the loop is ``_fit``).  Teacher forwards are counted in
     ``provider.counters``, beside the subgraphs it samples."""
@@ -363,8 +369,7 @@ def pretrain_teacher(cfg: TrainConfig, dataset: SequenceDataset, stkg: Stkg,
         return pretrain_step(provider.batch(batch), dataset.target[batch],
                              params, opt, provider.counters)
 
-    negatives, _ = _draw_negatives(dataset, dataset.rows("valid"),
-                                   cfg.n_negatives, cfg.seed)
+    negatives, _ = _draw_negatives(dataset, "valid", cfg, _negatives)
     return _fit(cfg, params, dataset, step,
                 lambda: _teacher_val_ndcg(params, provider, dataset,
                                           negatives))
@@ -480,7 +485,7 @@ def _student_val_ndcg(params: StudentParams, dataset: SequenceDataset,
 def distill(cfg: TrainConfig, dataset: SequenceDataset,
             signal: TeacherSignal | None = None,
             variant: str = "full", fusion: str = "stkd",
-            fusion_readout=None) -> TrainResult:
+            fusion_readout=None, *, _negatives=None) -> TrainResult:
     """Train the student on the joint objective with early stopping (the
     loop is ``_fit``).
 
@@ -524,8 +529,7 @@ def distill(cfg: TrainConfig, dataset: SequenceDataset,
         opt.step()
         return float(loss.data)
 
-    negatives, _ = _draw_negatives(dataset, dataset.rows("valid"),
-                                   cfg.n_negatives, cfg.seed)
+    negatives, _ = _draw_negatives(dataset, "valid", cfg, _negatives)
     return _fit(cfg, params, dataset, step,
                 lambda: _student_val_ndcg(params, dataset, negatives, fusion,
                                           fusion_readout))
@@ -538,8 +542,8 @@ def distill(cfg: TrainConfig, dataset: SequenceDataset,
 def evaluate(params: StudentParams, dataset: SequenceDataset,
              cfg: TrainConfig, split: str = "test",
              train_seconds: float = 0.0, fusion: str = "stkd",
-             fusion_readout=None,
-             counters: Counter | None = None) -> MetricsReport:
+             fusion_readout=None, counters: Counter | None = None, *,
+             _negatives=None) -> MetricsReport:
     """Rank each held-out target against sampled negatives.
 
     ``predict_seconds`` accumulates only model forward time (including any
@@ -554,8 +558,7 @@ def evaluate(params: StudentParams, dataset: SequenceDataset,
             f"student has {sizes[0]} takeaways and {sizes[1]} regions, "
             f"dataset has {dataset.n_takeaways} and {dataset.n_regions}")
     rows = dataset.rows(split)
-    negatives, truncated = _draw_negatives(dataset, rows, cfg.n_negatives,
-                                           cfg.seed)
+    negatives, truncated = _draw_negatives(dataset, split, cfg, _negatives)
     ranks, predict_seconds = _target_ranks(
         _student_scores(params, dataset, fusion, fusion_readout), dataset,
         rows, negatives)
@@ -575,11 +578,12 @@ def evaluate(params: StudentParams, dataset: SequenceDataset,
 # ---------------------------------------------------------------------------
 
 def _teacher_and_signal(cfg: TrainConfig, dataset: SequenceDataset,
-                        stkg: Stkg, with_signal: bool):
-    """A pre-trained teacher, and its soft-label signal if ``with_signal``
-    (else None)."""
+                        stkg: Stkg, negatives, with_signal: bool):
+    """A pre-trained teacher, validated against ``negatives``, and its
+    soft-label signal if ``with_signal`` (else None)."""
     provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed)
-    result = pretrain_teacher(cfg, dataset, stkg, provider=provider)
+    result = pretrain_teacher(cfg, dataset, stkg, provider=provider,
+                              _negatives=negatives)
     if not with_signal:
         return result, None
     rows, probs = compute_soft_labels(result.params, provider, dataset)
@@ -595,10 +599,19 @@ def _study(dataset: SequenceDataset, stkg: Stkg, arms: dict, split: str):
     Its training time is charged to exactly the arms that read it.  Every
     arm evaluates with its own counters, and a fusion arm samples through
     its own provider, so ``counts`` shows what that arm asked of the teacher.
-    A graph whose sizes disagree with ``dataset`` is refused before any arm
-    trains.
+    Each split's negatives are drawn once per seed and shared by every arm
+    and teacher that ranks that split, since a draw depends only on the
+    seed, the user and the target.  A graph whose sizes disagree with
+    ``dataset`` is refused before any arm trains.
     """
     _check_graph(dataset, stkg)
+    draws: dict[tuple, tuple] = {}
+
+    def negatives(cfg, split):
+        key = (cfg.seed, cfg.n_negatives, split)
+        if key not in draws:
+            draws[key] = _draw_negatives(dataset, split, cfg)
+        return draws[key]
 
     def distills(cfg, variant, fusion):
         return fusion == "stkd" and variant_alpha(cfg, variant) > 0.0
@@ -612,7 +625,8 @@ def _study(dataset: SequenceDataset, stkg: Stkg, arms: dict, split: str):
         if fusion != "stkd" or distills(cfg, variant, fusion):
             if cfg.fanouts not in teachers:
                 teachers[cfg.fanouts] = _teacher_and_signal(
-                    cfg, dataset, stkg, cfg.fanouts in kd_fanouts)
+                    cfg, dataset, stkg, negatives(cfg, "valid"),
+                    cfg.fanouts in kd_fanouts)
             teacher, signal = teachers[cfg.fanouts]
         if fusion != "stkd":
             provider = SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed,
@@ -623,13 +637,15 @@ def _study(dataset: SequenceDataset, stkg: Stkg, arms: dict, split: str):
                                        counters)
 
         result = distill(cfg, dataset, signal=signal, variant=variant,
-                         fusion=fusion, fusion_readout=readout)
+                         fusion=fusion, fusion_readout=readout,
+                         _negatives=negatives(cfg, "valid"))
         seconds = result.train_seconds
         if teacher is not None:
             seconds += teacher.train_seconds
         reports[label] = evaluate(result.params, dataset, cfg, split=split,
                                   train_seconds=seconds, fusion=fusion,
-                                  fusion_readout=readout, counters=counters)
+                                  fusion_readout=readout, counters=counters,
+                                  _negatives=negatives(cfg, split))
     return reports
 
 

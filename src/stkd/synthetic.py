@@ -59,6 +59,11 @@ class SyntheticConfig:
         if self.n_takeaways < self.n_regions * self.favorites_per_region:
             raise ConfigError("not enough takeaways to give every region a "
                               "favorites pool")
+        # a pair's head and tail are two distinct takeaways, used once each
+        if not 0 <= self.n_copurchase_pairs <= self.n_takeaways // 2:
+            raise ConfigError(
+                f"n_copurchase_pairs must lie in [0, n_takeaways // 2 = "
+                f"{self.n_takeaways // 2}], got {self.n_copurchase_pairs}")
         for name in ("noise", "follow_prob", "head_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -86,8 +91,14 @@ def item_region(item: int, n_regions: int) -> int:
     return item % n_regions
 
 
-def _default_pairs(cfg: SyntheticConfig, rng: np.random.Generator) -> list[tuple[int, int, float]]:
-    """Co-purchase pairs (A, B, p): A, B share a home region; heads/tails disjoint."""
+def _draw_pairs(cfg: SyntheticConfig) -> tuple[list[tuple[int, int, float]],
+                                                np.random.Generator]:
+    """Co-purchase pairs (A, B, p): A, B share a home region; heads/tails
+    disjoint.  Drawn first from the generator's stream, within a budget of
+    50 draws per pair asked for, so a crowded region can leave fewer.
+    Returns the pairs and the stream, which the events go on drawing from."""
+    cfg.validate()
+    rng = rng_for(cfg.seed, STREAM_SYNTH)
     pairs: list[tuple[int, int, float]] = []
     used: set[int] = set()
     attempts = 0
@@ -101,7 +112,12 @@ def _default_pairs(cfg: SyntheticConfig, rng: np.random.Generator) -> list[tuple
         used.add(a)
         used.add(b)
         pairs.append((a, b, cfg.follow_prob))
-    return pairs
+    return pairs, rng
+
+
+def copurchase_pairs(cfg: SyntheticConfig) -> list[tuple[int, int, float]]:
+    """The co-purchase pairs ``generate_synthetic`` plants for ``cfg``."""
+    return _draw_pairs(cfg)[0]
 
 
 def _event_line(cfg: SyntheticConfig, regions: list[str], user: int,
@@ -123,11 +139,9 @@ def _event_line(cfg: SyntheticConfig, regions: list[str], user: int,
 
 def generate_synthetic(cfg: SyntheticConfig):
     """Yield JSONL event lines (with trailing newline) for the configured world."""
-    cfg.validate()
-    rng = rng_for(cfg.seed, STREAM_SYNTH)
+    pairs, rng = _draw_pairs(cfg)
     regions = region_geohashes(cfg.n_regions)
-    follow_of: dict[int, tuple[int, float]] = {
-        a: (b, p) for a, b, p in _default_pairs(cfg, rng)}
+    follow_of: dict[int, tuple[int, float]] = {a: (b, p) for a, b, p in pairs}
 
     # per-region item pools and per-(user, region) favorites
     region_pool = [[t for t in range(cfg.n_takeaways)

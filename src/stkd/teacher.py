@@ -169,9 +169,11 @@ def gnn_forward(subgraphs: list[Subgraph], params: TeacherParams,
     for l in range(params.gnn_layers):
         n_out = int(sizes[l + 1])
         kept = parent < n_out           # edge order, and so sum order, kept
-        child_h = T.take_rows(h, child[kept])
-        rel_h = T.take_rows(params.relation_emb, edges[kept, 1])
-        summed = T.segment_sum(child_h + rel_h, parent[kept], n_out)
+        # the per-edge messages h_child + h_relation live only inside the
+        # sum: the tape keeps the (n_out, d) result and the edge ids
+        summed = T.segment_sum(
+            [(h, child[kept]), (params.relation_emb, edges[kept, 1])],
+            parent[kept], n_out)
         m = T.div(summed, Tensor(denom[:n_out]))
         h = T.relu(T.concat([m, T.rows(h, 0, n_out)], axis=1)
                    @ params.combine_W[l] + params.combine_b[l])

@@ -5,6 +5,14 @@ Every model in this package builds its forward pass from the primitives here;
 `requires_grad=True`. Gradient scatter/accumulation is index-ordered, so runs
 are reproducible under a fixed seed.
 
+What the tape keeps: each taped op's output, its parents and the arrays its
+backward closure reads (inputs, index arrays, saved activations), until the
+root is dropped.  A gradient buffer is allocated by the first gradient that
+reaches a tensor, and an intermediate's is freed as soon as its backward has
+passed it on, so after `backward()` only the leaves (parameters and other
+tensors built with `requires_grad=True`) hold `.grad`.  `segment_sum` over
+gathered rows keeps the per-row sums it adds up off the tape altogether.
+
 An op records itself on the tape only if an input requires a gradient, and
 only while the tape is on. Inside a `no_tape()` block the same primitives
 compute the same values but link nothing, so each intermediate is freed as
@@ -116,13 +124,15 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        # buffers are allocated by the first gradient that reaches them
+        # buffers are allocated by the first gradient that reaches them, and
+        # an intermediate's is freed once it has been passed on
         for node in topo:
             node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
 
 def as_tensor(x) -> Tensor:
@@ -388,18 +398,26 @@ def _scatter_add(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     out = np.bincount(cells, weights=values.reshape(-1), minlength=n * d)
     return out.astype(values.dtype, copy=False).reshape((n,) + tail)
 
-def take_rows(table, ids) -> Tensor:
-    """Embedding lookup: table[ids].
 
-    ids may be any integer ndarray; gradient is scatter-added per index in
-    ascending flat position order (deterministic).
-    """
+def _checked_rows(table, ids) -> tuple[Tensor, np.ndarray]:
+    """``table`` as a tensor and ``ids`` as an array of its row indices;
+    raises IndexError for an id outside the table."""
     table = as_tensor(table)
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(
             f"row index out of range [0, {table.data.shape[0]}): "
             f"min={ids.min()}, max={ids.max()}")
+    return table, ids
+
+
+def take_rows(table, ids) -> Tensor:
+    """Embedding lookup: table[ids].
+
+    ids may be any integer ndarray; gradient is scatter-added per index in
+    ascending flat position order (deterministic).
+    """
+    table, ids = _checked_rows(table, ids)
     out = Tensor(table.data[ids])
 
     def backward(g):
@@ -440,15 +458,39 @@ def take_positions(a, pos) -> Tensor:
 
 
 def segment_sum(x, segments, num_segments: int) -> Tensor:
-    """Sum rows of x into num_segments buckets keyed by `segments`."""
-    x = as_tensor(x)
+    """Sum rows of x into num_segments buckets keyed by `segments`.
+
+    ``x`` is a tensor, or a non-empty list of ``(table, ids)`` tuples that
+    stands for ``take_rows(t0, i0) + take_rows(t1, i1) + ...``: each row is
+    then gathered and added left to right in one buffer that the tape never
+    holds, so only the output and the index arrays stay on it.  The values
+    and gradients are bitwise those of the gather-and-add chain.
+    """
     segments = np.asarray(segments)
-    out = Tensor(_scatter_add(segments, x.data, num_segments))
+    if not (isinstance(x, list) and x
+            and all(isinstance(pair, tuple) for pair in x)):
+        x = as_tensor(x)
+        out = Tensor(_scatter_add(segments, x.data, num_segments))
+
+        def backward(g):
+            _accum(x, g[segments])
+
+        return _link(out, (x,), backward, "segment_sum")
+
+    pairs = [_checked_rows(table, ids) for table, ids in x]
+    (first, first_ids), rest = pairs[0], pairs[1:]
+    buf = first.data[first_ids]         # a gather is a fresh array
+    for table, ids in rest:
+        buf += table.data[ids]
+    out = Tensor(_scatter_add(segments, buf, num_segments))
 
     def backward(g):
-        _accum(x, g[segments])
+        g = g[segments]
+        for table, ids in pairs:
+            _accum(table, _scatter_add(ids, g, table.data.shape[0]))
 
-    return _link(out, (x,), backward, "segment_sum")
+    return _link(out, tuple(table for table, _ in pairs), backward,
+                 "segment_sum")
 
 
 # ---------------------------------------------------------------------------

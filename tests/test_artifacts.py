@@ -230,6 +230,23 @@ def test_evaluate_refuses_a_per_head_student(tmp_path, capsys):
     assert "format version 2 unsupported (expected 3)" in err
 
 
+def test_evaluate_refuses_a_student_config_with_an_unknown_key(tmp_path,
+                                                              capsys):
+    out, train = distilled_workspace(tmp_path, capsys)
+
+    def add_key(payload):
+        meta = json.loads(str(payload["__meta__"]))
+        meta["config"]["extra"] = 1
+        payload["__meta__"] = np.str_(json.dumps(meta, sort_keys=True))
+        return payload
+
+    rewrite(out / "student.npz", add_key)
+    assert main(["evaluate", "--config", str(train)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "student.npz" in err
+    assert "unknown=['extra']" in err
+
+
 # ---------------------------------------------------------------------------
 # atomic writes
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Checkpoint round trips, version gating, and vocabulary-hash refusal."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,23 @@ def test_student_round_trip_bitwise(tmp_path):
     assert config == p.build_config()
     for name, t in p.as_dict().items():
         np.testing.assert_array_equal(t.data, q.as_dict()[name].data)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda c: {**c, "extra": 1}, "missing=[], unknown=['extra']"),
+    (lambda c: {k: v for k, v in c.items() if k != "seed"},
+     "missing=['seed'], unknown=[]"),
+])
+def test_a_config_with_other_keys_is_refused(tmp_path, edit, named):
+    for params, load in (
+            (TeacherParams(n_entities=12, n_relations=5, n=4, d=8, n_users=3,
+                           n_takeaways=6, seed=2), load_teacher),
+            (StudentParams(n_takeaways=6, n_regions=3, n=4, d=8, seed=5),
+             load_student)):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, params, edit(params.build_config()), HASH_A)
+        with pytest.raises(ConsistencyError, match=re.escape(named)):
+            load(path)
 
 
 def test_teacher_round_trip_bitwise(tmp_path):

@@ -37,6 +37,7 @@ def test_full_command_chain(workspace, capsys):
 
     gen = run(capsys, "gen-synth", "--config", synth, "--out-dir", str(out))
     assert gen["events"] == 540
+    assert gen["copurchase_pairs"] == 20      # as many as the default asks
     assert (out / "events.jsonl").exists()
 
     prep = run(capsys, "prepare", "--config", train)
@@ -277,7 +278,11 @@ def test_distill_with_kd_needs_soft_labels(workspace, capsys, tmp_path):
     ("prepare", {"layers": 0}),
     ("prepare", {"gnn_layers": 0}),
     ("prepare", {"n_negatives": 0}),
-    ("prepare", {"epochs": -1})])
+    ("prepare", {"epochs": -1}),
+    # more co-purchase pairs than distinct heads and tails allow, or fewer
+    # than none
+    ("gen-synth", {"n_copurchase_pairs": -1}),
+    ("gen-synth", {"n_copurchase_pairs": 151})])
 def test_bad_config_entry_reports_error(tmp_path, capsys, command, values):
     """A wrongly typed value (or list entry), a size below 1, or an unknown
     key (also one that a config once had) in a config file exits 2 and names

@@ -583,6 +583,23 @@ def test_ablate_runs_and_orders_reports(world):
         ablate(cfg, dataset, stkg, variants=("nope",))
 
 
+def test_a_study_draws_each_split_s_negatives_once(world, monkeypatch):
+    # the teacher's and both arms' validation share one draw, and both arms'
+    # evaluation another: one sample_negatives call per row of each split
+    dataset, stkg, _ = world
+    calls = []
+    real = pipeline.sample_negatives
+
+    def counted(*a):
+        calls.append(1)
+        return real(*a)
+
+    monkeypatch.setattr(pipeline, "sample_negatives", counted)
+    ablate(tiny_cfg(epochs=1), dataset, stkg, variants=("full", "no_kd"))
+    assert len(calls) == (dataset.rows("valid").size
+                          + dataset.rows("test").size)
+
+
 def test_ablate_fusion_counters_and_timing(world):
     dataset, stkg, _ = world
     cfg = tiny_cfg(epochs=1)

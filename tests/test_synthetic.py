@@ -5,12 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from stkd.config import STREAM_SYNTH, rng_for
 from stkd.errors import ConfigError
 from stkd.events import ingest_events
 from stkd.geo import is_valid_geohash6
-from stkd.synthetic import (SyntheticConfig, _default_pairs, generate_synthetic,
-                            region_geohashes, write_synthetic)
+from stkd.synthetic import (SyntheticConfig, copurchase_pairs,
+                            generate_synthetic, region_geohashes,
+                            write_synthetic)
 
 
 def pooled_follow_stats(lines, pairs):
@@ -33,10 +33,6 @@ def pooled_follow_stats(lines, pairs):
                     hits += 1
     base = tail_buys / max(1, total) / max(1, len(tails))
     return hits / max(1, n_a), base
-
-
-def pairs_for(cfg):
-    return _default_pairs(cfg, rng_for(cfg.seed, STREAM_SYNTH))
 
 
 def test_same_seed_is_byte_identical():
@@ -82,7 +78,7 @@ def test_zero_noise_follow_probability_matches_config():
                           events_per_user=40, seed=2, noise=0.0,
                           follow_prob=0.7)
     lines = generate_synthetic(cfg)
-    p_follow, _ = pooled_follow_stats(lines, pairs_for(cfg))
+    p_follow, _ = pooled_follow_stats(lines, copurchase_pairs(cfg))
     # pooled over ~thousands of A purchases; binomial CI well inside +-0.05
     assert abs(p_follow - 0.7) < 0.05, p_follow
 
@@ -91,7 +87,7 @@ def test_full_noise_destroys_planted_lift():
     cfg = SyntheticConfig(n_users=400, n_takeaways=100, n_regions=5,
                           events_per_user=50, seed=4, noise=1.0)
     lines = generate_synthetic(cfg)
-    p_follow, base = pooled_follow_stats(lines, pairs_for(cfg))
+    p_follow, base = pooled_follow_stats(lines, copurchase_pairs(cfg))
     lift = p_follow / max(base, 1e-9)
     assert 0.4 < lift < 2.5, (p_follow, base, lift)
 
@@ -100,7 +96,7 @@ def test_planted_lift_is_large_at_low_noise():
     cfg = SyntheticConfig(n_users=200, n_takeaways=100, n_regions=5,
                           events_per_user=40, seed=5, noise=0.1)
     lines = generate_synthetic(cfg)
-    p_follow, base = pooled_follow_stats(lines, pairs_for(cfg))
+    p_follow, base = pooled_follow_stats(lines, copurchase_pairs(cfg))
     assert p_follow / max(base, 1e-9) > 10
 
 
@@ -139,9 +135,26 @@ def test_infeasible_configs_raise():
 
 def test_write_synthetic_round_trips(tmp_path):
     cfg = SyntheticConfig(n_users=5, n_takeaways=30, n_regions=3,
-                          events_per_user=8, seed=1)
+                          events_per_user=8, n_copurchase_pairs=15, seed=1)
     path = str(tmp_path / "events.jsonl")
     n = write_synthetic(cfg, path)
     assert n == 40
     events, _, report = ingest_events(path)
     assert report.n_events == 40
+
+
+def test_copurchase_pairs_must_fit_the_vocabulary():
+    # heads and tails are distinct takeaways: at most n_takeaways // 2 pairs
+    for n_pairs in (-1, 16):
+        with pytest.raises(ConfigError, match="n_copurchase_pairs"):
+            SyntheticConfig(n_takeaways=31, n_regions=3,
+                            n_copurchase_pairs=n_pairs)
+    for n_pairs in (0, 15):
+        cfg = SyntheticConfig(n_takeaways=31, n_regions=3,
+                              n_copurchase_pairs=n_pairs)
+        pairs = copurchase_pairs(cfg)
+        assert len(pairs) <= n_pairs
+        items = [item for a, b, _ in pairs for item in (a, b)]
+        assert len(set(items)) == len(items)
+    assert copurchase_pairs(SyntheticConfig(n_copurchase_pairs=0)) == []
+

@@ -385,3 +385,88 @@ def test_pruned_layers_match_unpruned_on_first_training_batch(
     n_edges = sum(sg.edges.shape[0] for sg in subgraphs)
     assert 0 < c["gnn_row_updates"] < union_rows * layers
     assert 0 < c["gnn_edge_messages"] < n_edges * layers
+
+
+def _chained_segment_sum(segment_sum):
+    """``segment_sum`` with a list of gathered-rows pairs taken through the
+    chain the teacher ran before the fused form:
+    ``segment_sum(take_rows(h, child) + take_rows(relation_emb, rel))``."""
+    def chained(x, segments, n):
+        if isinstance(x, list):
+            (h, child), (rel_table, rel) = x
+            x = T.take_rows(h, child) + T.take_rows(rel_table, rel)
+        return segment_sum(x, segments, n)
+
+    return chained
+
+
+def _bitwise(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_fused_messages_are_bitwise_the_gather_and_add_chain(
+        criterion8_world, layers, monkeypatch):
+    # outputs and every pretraining gradient, on the edge cases and on the
+    # first training batch of the determinism world
+    dataset, stkg, _ = criterion8_world
+    cfg = TrainConfig(batch_size=64, n=8, d=16, gnn_layers=layers,
+                      fanouts=(4, 4), seed=0)
+    big = build_teacher(cfg, stkg)
+    _spread(big, seed=11)
+    batch = dataset.rows("train")[:cfg.batch_size]
+    small = micro_params(n_entities=10, n_relations=3, n=4, d=3,
+                         layers=layers, n_users=2, n_takeaways=5)
+    _spread(small, seed=layers)
+    cases = [(*_edge_cases(), small),
+             (SubgraphProvider(dataset, stkg, cfg.fanouts, cfg.seed)
+              .batch(batch), dataset.target[batch], big)]
+    for subgraphs, targets, params in cases:
+        got = _forward_and_grads(subgraphs, targets, params)
+        with monkeypatch.context() as m:
+            m.setattr(T, "segment_sum", _chained_segment_sum(T.segment_sum))
+            want = _forward_and_grads(subgraphs, targets, params)
+        assert _bitwise(got[:3]) == _bitwise(want[:3])
+        for name in want[3]:
+            assert got[3][name].tobytes() == want[3][name].tobytes(), name
+
+
+def _edge_row_tensors(loss, per_edge):
+    """The tensors reachable from ``loss`` whose leading axis has one of the
+    ``per_edge`` lengths."""
+    found, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node.ndim and node.shape[0] in per_edge:
+                found.append(node.shape)
+            stack.extend(node._parents)
+    return found
+
+
+def test_no_tensor_on_the_pretraining_tape_has_a_row_per_edge(
+        criterion8_world, monkeypatch):
+    dataset, stkg, _ = criterion8_world
+    cfg = TrainConfig(batch_size=64, n=8, d=16, gnn_layers=2, fanouts=(4, 4),
+                      seed=0)
+    params = build_teacher(cfg, stkg)
+    batch = dataset.rows("train")[:cfg.batch_size]
+    subgraphs = SubgraphProvider(dataset, stkg, cfg.fanouts,
+                                 cfg.seed).batch(batch)
+    # the number of edges each layer aggregates, as gnn_forward prunes them
+    _, edges, centers, users, n_total = teacher._union_batch(subgraphs)
+    _, sizes, pos = teacher._needed_rows(
+        edges, np.unique(np.append(centers[centers >= 0], users)), n_total,
+        cfg.gnn_layers)
+    parent = pos[edges[:, 0]]
+    per_edge = {int((parent < sizes[l + 1]).sum())
+                for l in range(cfg.gnn_layers)}
+
+    loss = pretrain_loss(subgraphs, dataset.target[batch], params)
+    assert _edge_row_tensors(loss, per_edge) == []
+    # the gather-and-add chain would put three such tensors per layer there
+    with monkeypatch.context() as m:
+        m.setattr(T, "segment_sum", _chained_segment_sum(T.segment_sum))
+        loss = pretrain_loss(subgraphs, dataset.target[batch], params)
+    assert len(_edge_row_tensors(loss, per_edge)) == 3 * cfg.gnn_layers

@@ -285,6 +285,59 @@ def test_grad_segment_sum():
     check(lambda q: sumsq(T.segment_sum(q["x"], seg, 4)), {"x": x})
 
 
+def _pairs_and_chain(a_shape, b_shape, ids_a, ids_b, seg, n, seed):
+    """segment_sum of the gathered-rows pairs and of the gather-and-add chain
+    over one pair of tables each, with a weighted loss through each;
+    returns ((value, grad a, grad b) fused, the same chained)."""
+    rng = np.random.default_rng(seed)
+    a_data = rng.standard_normal(a_shape) * 10.0 ** rng.integers(-6, 6, a_shape)
+    b_data = rng.standard_normal(b_shape)
+    w = T.Tensor(rng.standard_normal((n,) + a_shape[1:]))
+    results = []
+    for fused in (True, False):
+        a = T.Tensor(a_data.copy(), requires_grad=True)
+        b = T.Tensor(b_data.copy(), requires_grad=True)
+        if fused:
+            out = T.segment_sum([(a, ids_a), (b, ids_b)], seg, n)
+        else:
+            out = T.segment_sum(T.take_rows(a, ids_a) + T.take_rows(b, ids_b),
+                                seg, n)
+        T.tsum(out * w * out).backward()
+        results.append((out.data, a.grad, b.grad))
+    return results
+
+
+@pytest.mark.parametrize("ids_a, ids_b, seg, n", [
+    # repeated ids in both tables; segment 3 receives nothing
+    ([0, 2, 2, 4, 0, 1, 2], [1, 1, 0, 2, 2, 1, 0], [0, 1, 1, 2, 0, 2, 2], 4),
+    # one id for every row, all into one segment, and empty trailing segments
+    ([3] * 6, [0] * 6, [1] * 6, 5),
+    # zero rows: every segment empty and no gradient reaches either table
+    ([], [], [], 3),
+])
+def test_segment_sum_of_gathered_pairs_is_bitwise_the_chain(ids_a, ids_b,
+                                                            seg, n):
+    ids_a, ids_b, seg = (np.array(v, dtype=np.int64)
+                         for v in (ids_a, ids_b, seg))
+    fused, chained = _pairs_and_chain((5, 3), (3, 3), ids_a, ids_b, seg, n,
+                                      seed=n + ids_a.size)
+    for name, got, want in zip(("value", "grad a", "grad b"), fused, chained):
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert not fused[0][np.setdiff1d(np.arange(n), seg)].any()
+
+
+def test_grad_segment_sum_of_gathered_pairs():
+    a, b = p((5, 3), seed=60), p((3, 3), seed=61)
+    ids_a = np.array([0, 2, 2, 4, 0, 1])
+    ids_b = np.array([1, 1, 0, 2, 2, 1])
+    seg = np.array([0, 1, 1, 2, 0, 2])
+    check(lambda q: sumsq(T.segment_sum([(q["a"], ids_a), (q["b"], ids_b)],
+                                        seg, 4)), {"a": a, "b": b})
+    with pytest.raises(IndexError):
+        T.segment_sum([(a, ids_a), (b, ids_b + 1)], seg, 4)
+
+
 @pytest.mark.parametrize("ids_shape, tail, n", [
     ((500,), (7,), 40),          # 1-D ids, many repeats
     ((500,), (), 40),            # scalar values per id
@@ -373,6 +426,33 @@ def test_backward_allocates_gradients_only_where_they_flow():
     _eager_backward(loss)
     for name, t in (("table", table), ("w", w)):
         assert np.array_equal(lazy[name], t.grad), name
+
+
+def _tape_nodes(out):
+    """Every tensor reachable from ``out`` through the tape."""
+    nodes, stack, seen = [], [out], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_backward_frees_every_intermediate_gradient():
+    params = [p((5, 4), seed=55), p((4, 6), seed=56), p((6,), seed=57),
+              p((6,), seed=58)]
+    loss = _every_op(*params)[-1]
+    loss.backward()
+    nodes = _tape_nodes(loss)
+    taped = [t for t in nodes if t._backward is not None]
+    assert len(taped) > 10
+    assert all(t.grad is None for t in taped)
+    lazy = [t.grad.copy() for t in params]
+    _eager_backward(loss)
+    for i, (got, t) in enumerate(zip(lazy, params)):
+        assert got.tobytes() == t.grad.tobytes(), i
 
 
 def test_dropout_scaling_and_grad_mask():
